@@ -23,6 +23,7 @@ from typing import Optional
 from . import crypto, kdc, wire
 from .clock import Clock, SystemClock
 from .crypto import KeyRole, SymmetricKey
+from .device import GENERAL, NOT_SYNCED_TOKEN, POWER, VERDICT_TOKENS
 from .errors import (
     AuthFailure,
     DeviceRejected,
@@ -35,21 +36,13 @@ from .errors import (
 from .net import Network
 from .rng import Rng
 
-DEFAULT_TGS_ID = "tgs"
 DEFAULT_ISV_ID = "isv"
-DEFAULT_ST_LIFETIME = 3600
 UDP_RETRIES = 3
 
-GENERAL = "general"
-POWER = "power"
-
-# Device reply tokens -> outcome verdicts.
+# Device reply reasons (the token after "ERR ") -> outcome verdicts.
 _REPLY_VERDICTS = {
-    b"INVALID_REQUEST": "invalid-request",
-    b"TICKET_EXPIRED": "ticket-expired",
-    b"INVALID_COUNTER": "invalid-counter",
-    b"AUTH_FAILURE": "auth-failure",
-    b"NOT_SYNCED": "not-synced",
+    **{token.removeprefix(b"ERR "): verdict.value for verdict, token in VERDICT_TOKENS.items()},
+    NOT_SYNCED_TOKEN.removeprefix(b"ERR "): "not-synced",
 }
 
 
@@ -68,9 +61,9 @@ class ClientConfig:
     kdc_addr: object
     isv_url: str
     device_addrs: dict[str, object]
-    tgs_id: str = DEFAULT_TGS_ID
+    tgs_id: str = kdc.DEFAULT_TGS_ID
     isv_id: str = DEFAULT_ISV_ID
-    st_lifetime: int = DEFAULT_ST_LIFETIME
+    st_lifetime: int = kdc.DEFAULT_ST_LIFETIME
     udp_timeout: float = 2.0
 
 

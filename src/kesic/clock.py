@@ -76,19 +76,3 @@ class VirtualClock(Clock):
         """Register fn(now) to run after every advance (e.g. timeout sweeps)."""
         self._listeners.append(fn)
 
-
-class OffsetClock(Clock):
-    """A fixed-offset view of another clock, for skew experiments."""
-
-    def __init__(self, base: Clock, offset: int) -> None:
-        self._base = base
-        self._offset = int(offset)
-
-    def now(self) -> int:
-        return self._base.now() + self._offset
-
-    def now_us(self) -> int:
-        return self._base.now_us() + self._offset * 1_000_000
-
-    def timer(self) -> float:
-        return self._base.timer()

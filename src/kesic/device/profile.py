@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto import KeyRole, SymmetricKey
-from ..kdc import key_from_b64
+from ..kdc import DEFAULT_CLOCK_SKEW, key_from_b64
 
 GENERAL = "general"
 POWER = "power"
@@ -24,7 +24,7 @@ class DeviceProfile:
     isv_sync_addr: object
     isv_attest_addr: object
     window: int = 16
-    freshness_window: int = 300
+    freshness_window: int = DEFAULT_CLOCK_SKEW
     state_path: str | None = None
 
     @classmethod
@@ -48,6 +48,6 @@ class DeviceProfile:
             isv_sync_addr=isv_sync_addr,
             isv_attest_addr=isv_attest_addr,
             window=int(obj.get("window", 16)),
-            freshness_window=int(obj.get("freshness_window", 300)),
+            freshness_window=int(obj.get("freshness_window", DEFAULT_CLOCK_SKEW)),
             state_path=state_path,
         )

@@ -17,7 +17,8 @@ import os
 from .. import crypto, wire
 from ..clock import Clock
 from ..crypto import SymmetricKey
-from ..errors import NotSynced
+from ..errors import NotSynced, ReplayDetected
+from ..kdc import DEFAULT_CLOCK_SKEW, ReplayCache
 
 __all__ = ["Verdict", "RotBase", "GeneralRot", "PowerRot"]
 
@@ -125,12 +126,12 @@ class GeneralRot(RotBase):
     instants, not nonces).
     """
 
-    def __init__(self, *args, freshness_window: int = 300, **kwargs) -> None:
+    def __init__(self, *args, freshness_window: int = DEFAULT_CLOCK_SKEW, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._freshness_window_us = freshness_window * 1_000_000
         self._start_us = 0
         self._timer_origin = 0.0
-        self._seen: dict[tuple[int, int], int] = {}
+        self._replay = ReplayCache(self._freshness_window_us)
 
     def _on_synced(self, sync_val: int) -> None:
         self._start_us = sync_val * 1_000_000
@@ -144,12 +145,9 @@ class GeneralRot(RotBase):
     def handle_service(
         self, frame: wire.ServiceRequestG, memory: bytes
     ) -> tuple[Verdict, bytes | None]:
-        """Check order: freshness, lifetime, authenticator, ticket."""
+        """Check order: freshness, lifetime, authenticator, ticket, replay."""
         local = self.local_time_us()
-        self._seen = {k: exp for k, exp in self._seen.items() if exp >= local}
         if abs(frame.ts - local) > self._freshness_window_us:
-            return Verdict.INVALID_REQUEST, None
-        if (frame.id_c, frame.ts) in self._seen:
             return Verdict.INVALID_REQUEST, None
         if frame.lifetime * 1_000_000 <= local:
             return Verdict.TICKET_EXPIRED, None
@@ -165,7 +163,12 @@ class GeneralRot(RotBase):
         )
         if ticket.hex != frame.ticket:
             return Verdict.AUTH_FAILURE, None
-        self._seen[(frame.id_c, frame.ts)] = local + self._freshness_window_us
+        # Record the timestamp only after both tags verified, so a forgery
+        # cannot burn an honest user's (id_c, ts) slot.
+        try:
+            self._replay.check_and_add(frame.id_c, frame.ts, local)
+        except ReplayDetected:
+            return Verdict.INVALID_REQUEST, None
         if frame.cmd == wire.CMD_ATTEST:
             report = crypto.attest_memory(session_key, memory)
             return Verdict.ACCEPT, report.hex.encode("ascii")

@@ -49,13 +49,11 @@ from .errors import (
     WireError,
     error_name,
 )
-from .kdc import ReplayCache, key_from_b64, verify_ap
+from .device.profile import GENERAL
+from .kdc import DEFAULT_CLOCK_SKEW, ReplayCache, key_from_b64, verify_ap
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
-
-GENERAL = "general"
-POWER = "power"
 
 DEFAULT_IOT_TICKET_LIFETIME = 600
 DEFAULT_ATTEST_TIMEOUT = 30
@@ -296,7 +294,7 @@ class TicketManager:
         rng: Rng,
         events: list,
         iot_ticket_lifetime: int = DEFAULT_IOT_TICKET_LIFETIME,
-        clock_skew: int = 300,
+        clock_skew: int = DEFAULT_CLOCK_SKEW,
     ) -> None:
         self.registry = registry
         self.kerberos_id = kerberos_id
@@ -411,7 +409,7 @@ class IsvConfig:
     users: dict[str, tuple[int, int]]
     iot_ticket_lifetime: int = DEFAULT_IOT_TICKET_LIFETIME
     attest_timeout: int = DEFAULT_ATTEST_TIMEOUT
-    clock_skew: int = 300
+    clock_skew: int = DEFAULT_CLOCK_SKEW
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> tuple["IsvConfig", list[DeviceRecord]]:
@@ -422,7 +420,7 @@ class IsvConfig:
             users={name: (int(u["id_c"]), int(u["ad_c"])) for name, u in obj["users"].items()},
             iot_ticket_lifetime=int(obj.get("iot_ticket_lifetime", DEFAULT_IOT_TICKET_LIFETIME)),
             attest_timeout=int(obj.get("attest_timeout", DEFAULT_ATTEST_TIMEOUT)),
-            clock_skew=int(obj.get("clock_skew", 300)),
+            clock_skew=int(obj.get("clock_skew", DEFAULT_CLOCK_SKEW)),
         )
         records = []
         for name, dev in obj["devices"].items():

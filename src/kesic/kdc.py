@@ -27,6 +27,7 @@ import json
 import logging
 import threading
 from base64 import b64decode, b64encode
+from collections import deque
 from dataclasses import dataclass, field
 
 from .clock import Clock, SystemClock
@@ -99,21 +100,33 @@ class PrincipalDb:
 
 
 class ReplayCache:
-    """Remembers (principal, ts_us) pairs for twice the skew window."""
+    """Remembers (principal, ts_us) pairs for twice the freshness window.
+
+    An accepted timestamp lies within ``window_us`` of the acceptance time,
+    so it stays fresh until at most two windows after it was inserted; only
+    then may it be forgotten (RFC 4120 section 3.2.3). Keys are kept in
+    insertion order, so pruning pops from the front in amortised O(1).
+    """
 
     def __init__(self, window_us: int) -> None:
         self._window_us = window_us
-        self._seen: dict[tuple[str, int], int] = {}
+        self._order: deque[tuple[int, tuple]] = deque()
+        self._keys: set[tuple] = set()
         self._lock = threading.Lock()
 
-    def check_and_add(self, principal: str, ts_us: int, now_us: int) -> None:
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def check_and_add(self, principal: object, ts_us: int, now_us: int) -> None:
+        key = (principal, ts_us)
         with self._lock:
             horizon = now_us - 2 * self._window_us
-            for key in [k for k, seen_at in self._seen.items() if seen_at < horizon]:
-                del self._seen[key]
-            if (principal, ts_us) in self._seen:
+            while self._order and self._order[0][0] < horizon:
+                self._keys.discard(self._order.popleft()[1])
+            if key in self._keys:
                 raise ReplayDetected(f"authenticator replay for {principal}")
-            self._seen[(principal, ts_us)] = now_us
+            self._keys.add(key)
+            self._order.append((now_us, key))
 
 
 def make_authenticator(
@@ -131,6 +144,32 @@ class ApIdentity:
     session_key: SymmetricKey
 
 
+def _check_authenticator(
+    ticket: dict,
+    authn_b64: str,
+    clock: Clock,
+    skew_s: int,
+    replay_cache: ReplayCache,
+) -> SymmetricKey:
+    """Opens the authenticator under the ticket's session key and admits it once.
+
+    Shared by the TGS (ticket = TGT) and the application servers (ticket =
+    service ticket); returns the session key.
+    """
+    session_key = key_from_b64(ticket["k"], KeyRole.SESSION)
+    authn = open_json(session_key, authn_b64)
+    if authn.get("id_c") != ticket.get("id_c") or authn.get("ad_c") != ticket.get("ad_c"):
+        raise IdMismatch("authenticator identity differs from ticket")
+    ts_us = authn.get("ts_us")
+    if not isinstance(ts_us, int):
+        raise AuthFailure("authenticator missing timestamp")
+    now_us = clock.now_us()
+    if abs(ts_us - now_us) > skew_s * 1_000_000:
+        raise SkewExceeded("authenticator timestamp outside skew window")
+    replay_cache.check_and_add(ticket["id_c"], ts_us, now_us)
+    return session_key
+
+
 def verify_ap(
     service_key: SymmetricKey,
     own_id: str,
@@ -144,20 +183,9 @@ def verify_ap(
     st = open_json(service_key, st_b64)
     if st.get("id_v") != own_id:
         raise IdMismatch("service ticket addressed to a different service")
-    now = clock.now()
-    if not isinstance(st.get("lf4"), int) or st["lf4"] <= now:
+    if not isinstance(st.get("lf4"), int) or st["lf4"] <= clock.now():
         raise TicketExpired("service ticket lifetime elapsed")
-    session_key = key_from_b64(st["k"], KeyRole.SESSION)
-    authn = open_json(session_key, authn_b64)
-    if authn.get("id_c") != st.get("id_c") or authn.get("ad_c") != st.get("ad_c"):
-        raise IdMismatch("authenticator identity differs from ticket")
-    ts_us = authn.get("ts_us")
-    if not isinstance(ts_us, int):
-        raise AuthFailure("authenticator missing timestamp")
-    now_us = clock.now_us()
-    if abs(ts_us - now_us) > skew_s * 1_000_000:
-        raise SkewExceeded("authenticator timestamp outside skew window")
-    replay_cache.check_and_add(st["id_c"], ts_us, now_us)
+    session_key = _check_authenticator(st, authn_b64, clock, skew_s, replay_cache)
     return ApIdentity(id_c=st["id_c"], ad_c=int(st["ad_c"]), session_key=session_key)
 
 
@@ -216,17 +244,9 @@ class Kdc:
         now = self.clock.now()
         if not isinstance(tgt.get("lf2"), int) or tgt["lf2"] <= now:
             raise TicketExpired("tgt lifetime elapsed")
-        k_c_tgs = key_from_b64(tgt["k"], KeyRole.SESSION)
-        authn = open_json(k_c_tgs, req.get("authn", ""))
-        if authn.get("id_c") != tgt.get("id_c") or authn.get("ad_c") != tgt.get("ad_c"):
-            raise IdMismatch("authenticator identity differs from tgt")
-        ts_us = authn.get("ts_us")
-        if not isinstance(ts_us, int):
-            raise AuthFailure("authenticator missing timestamp")
-        now_us = self.clock.now_us()
-        if abs(ts_us - now_us) > self.clock_skew * 1_000_000:
-            raise SkewExceeded("authenticator timestamp outside skew window")
-        self._replay.check_and_add(tgt["id_c"], ts_us, now_us)
+        k_c_tgs = _check_authenticator(
+            tgt, req.get("authn", ""), self.clock, self.clock_skew, self._replay
+        )
 
         id_v = req.get("id_v")
         service_key = self.db.services.get(id_v)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .crypto import KeyRole, SymmetricKey, derive_password_key
 from .errors import ScriptError
 from .isv import DeviceRecord, IsvConfig
-from .kdc import ClientPrincipal, PrincipalDb, key_b64
+from .kdc import DEFAULT_CLOCK_SKEW, ClientPrincipal, PrincipalDb, key_b64
 from .rng import Rng
 
 DEFAULT_MEMORY_SIZE = 2048
@@ -38,7 +38,7 @@ class DeviceSpec:
     dtype: str  # "general" | "power"
     allow: tuple[str, ...] | None = None  # None = every provisioned client
     window: int = 16
-    freshness_window: int = 300
+    freshness_window: int = DEFAULT_CLOCK_SKEW
     memory_size: int = DEFAULT_MEMORY_SIZE
 
 
@@ -53,7 +53,7 @@ class FleetSpec:
     st_lifetime: int = 3600
     iot_ticket_lifetime: int = 600
     attest_timeout: int = 30
-    clock_skew: int = 300
+    clock_skew: int = DEFAULT_CLOCK_SKEW
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FleetSpec":
@@ -72,7 +72,7 @@ class FleetSpec:
                     dtype=d["type"],
                     allow=tuple(d["allow"]) if "allow" in d else None,
                     window=int(d.get("window", 16)),
-                    freshness_window=int(d.get("freshness_window", 300)),
+                    freshness_window=int(d.get("freshness_window", DEFAULT_CLOCK_SKEW)),
                     memory_size=int(d.get("memory_size", DEFAULT_MEMORY_SIZE)),
                 )
                 for d in obj["devices"]

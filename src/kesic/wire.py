@@ -180,14 +180,6 @@ class _Frame:
         return cls(**values)
 
 
-def encode(msg: _Frame) -> bytes:
-    return msg.encode()
-
-
-def decode(cls: Type[M], data: bytes) -> M:
-    return cls.decode(data)
-
-
 def encode_fields(msg: _Frame, *names: str) -> bytes:
     """Canonical rendering of a subset of fields, in the order given."""
     specs = {f.name: f for f in msg.FIELDS}

@@ -227,6 +227,15 @@ class TestGeneralService:
         # One microsecond later is a distinct, honest request.
         assert bulb.call(bulb.g_frame(self.LIFETIME, self.TS + 1)) == b"OK LED=ON"
 
+    def test_future_timestamp_replay_refused_after_clock_advances(self, bulb):
+        """A timestamp up to one window ahead stays fresh for up to two
+        windows after acceptance, so the device must remember it that long."""
+        bulb.sync()
+        frame = bulb.g_frame(self.LIFETIME, (START + 200) * US)
+        assert bulb.call(frame) == b"OK LED=ON"
+        bulb.clock.advance(350)
+        assert bulb.call(frame) == b"ERR INVALID_REQUEST"
+
     def test_expired_lifetime_refused(self, bulb):
         bulb.sync()
         assert bulb.call(bulb.g_frame(START, self.TS)) == b"ERR TICKET_EXPIRED"

@@ -174,7 +174,49 @@ class TestTgsExchange:
             center.tgs_exchange({"op": "tgs", "id_v": "printer", "tgt": payload["tgt"], "authn": authn})
 
 
+class _CountingPrincipal:
+    """A principal that counts how often the cache hashes it."""
+
+    def __init__(self) -> None:
+        self.hashes = 0
+
+    def __hash__(self) -> int:
+        self.hashes += 1
+        return object.__hash__(self)
+
+
+class _Instant(int):
+    """An insertion time that counts how often the cache compares it."""
+
+    comparisons = 0
+
+    def __lt__(self, other):
+        _Instant.comparisons += 1
+        return int(self) < other
+
+
 class TestReplayCache:
+    def test_work_and_retention_stay_flat_over_50k_inserts(self):
+        """Counts work instead of timing it: a scan or rebuild of the seen
+        keys on each insert would touch every retained key."""
+        window_us, step_us, n = 1_000_000, 1_000, 50_000
+        per_horizon = 2 * window_us // step_us + 1  # inserted in the last 2 windows
+        cache = kdc.ReplayCache(window_us=window_us)
+        alice = _CountingPrincipal()
+        _Instant.comparisons = 0
+        for i in range(n):
+            now = i * step_us
+            cache.check_and_add(alice, now, now_us=_Instant(now))
+            assert len(cache) <= min(i + 1, per_horizon)
+        assert len(cache) == per_horizon
+        assert alice.hashes <= 3 * n
+        assert _Instant.comparisons <= 3 * n
+        last = (n - 1) * step_us
+        with pytest.raises(ReplayDetected):
+            cache.check_and_add(alice, last - 2 * window_us, now_us=last)
+        with pytest.raises(ReplayDetected):
+            cache.check_and_add(alice, last - window_us, now_us=last)
+
     def test_prunes_entries_beyond_twice_the_window(self):
         cache = kdc.ReplayCache(window_us=1_000_000)
         cache.check_and_add("alice", 100, now_us=100)

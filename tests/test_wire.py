@@ -49,49 +49,49 @@ frame_strategies = [
 @settings(max_examples=50, deadline=None)
 @given(frame=st.one_of(*frame_strategies))
 def test_encode_decode_round_trip(frame):
-    data = wire.encode(frame)
+    data = frame.encode()
     assert len(data) == frame.size()
-    assert wire.decode(type(frame), data) == frame
+    assert type(frame).decode(data) == frame
 
 
 def test_sample_frame_bytes_pinned():
     frame = wire.SyncRequest(id_dev=101, co_sync=7, mac="ab" * 32)
-    assert wire.encode(frame) == b"00000101" + b"0" * 31 + b"7" + b"ab" * 32
+    assert frame.encode() == b"00000101" + b"0" * 31 + b"7" + b"ab" * 32
 
 
 def test_command_padding():
     frame = wire.ServiceRequestPC(cmd="LED_ON", id_c=1, ad_c=2, co_pc=3, ticket="0" * 64)
-    assert wire.encode(frame)[:8] == b"LED_ON  "
-    assert wire.decode(wire.ServiceRequestPC, wire.encode(frame)).cmd == "LED_ON"
+    assert frame.encode()[:8] == b"LED_ON  "
+    assert wire.ServiceRequestPC.decode(frame.encode()).cmd == "LED_ON"
 
 
 def test_decode_wrong_length():
-    data = wire.encode(wire.SyncRequest(id_dev=1, co_sync=1, mac="0" * 64))
+    data = wire.SyncRequest(id_dev=1, co_sync=1, mac="0" * 64).encode()
     with pytest.raises(LengthMismatch):
-        wire.decode(wire.SyncRequest, data[:-1])
+        wire.SyncRequest.decode(data[:-1])
     with pytest.raises(LengthMismatch):
-        wire.decode(wire.SyncRequest, data + b"0")
+        wire.SyncRequest.decode(data + b"0")
 
 
 def test_decode_bad_decimal():
-    data = bytearray(wire.encode(wire.SyncRequest(id_dev=1, co_sync=1, mac="0" * 64)))
+    data = bytearray(wire.SyncRequest(id_dev=1, co_sync=1, mac="0" * 64).encode())
     data[0] = ord("x")
     with pytest.raises(FieldFormatError):
-        wire.decode(wire.SyncRequest, bytes(data))
+        wire.SyncRequest.decode(bytes(data))
 
 
 def test_decode_bad_hex():
-    data = bytearray(wire.encode(wire.SyncRequest(id_dev=1, co_sync=1, mac="0" * 64)))
+    data = bytearray(wire.SyncRequest(id_dev=1, co_sync=1, mac="0" * 64).encode())
     data[-1] = ord("G")
     with pytest.raises(FieldFormatError):
-        wire.decode(wire.SyncRequest, bytes(data))
+        wire.SyncRequest.decode(bytes(data))
 
 
 def test_decode_non_ascii():
-    data = bytearray(wire.encode(wire.SyncRequest(id_dev=1, co_sync=1, mac="0" * 64)))
+    data = bytearray(wire.SyncRequest(id_dev=1, co_sync=1, mac="0" * 64).encode())
     data[0] = 0xFF
     with pytest.raises(FieldFormatError):
-        wire.decode(wire.SyncRequest, bytes(data))
+        wire.SyncRequest.decode(bytes(data))
 
 
 def test_render_overflow_and_negatives():
@@ -117,7 +117,7 @@ def test_encode_rejects_bool():
 
 def test_mac_input_is_frame_prefix():
     frame = wire.SyncResponse(id_isv=1, co_sync=9, sync_val=1_700_000_000, mac="f" * 64)
-    data = wire.encode(frame)
+    data = frame.encode()
     assert wire.mac_input(frame) == data[:-64]
     with pytest.raises(FieldFormatError):
         wire.mac_input(wire.AttestResponse(id_dev=1, attst_hmac="0" * 64))
