@@ -149,17 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _session(args: argparse.Namespace) -> ClientSession:
     with open(args.identity, "r", encoding="utf-8") as fh:
-        ident = json.load(fh)
-    name = ident["name"]
-    cache_path = args.cache if args.cache else f"{name}.cache.json"
-    config = ClientConfig(
-        name=name,
-        id_c=int(ident["id_c"]),
-        ad_c=int(ident["ad_c"]),
-        kdc_addr=args.kdc_addr,
-        isv_url=args.isv_url,
-        device_addrs=_parse_device_addrs(args.device_addr),
-    )
+        config = ClientConfig.from_json_obj(
+            json.load(fh),
+            kdc_addr=args.kdc_addr,
+            isv_url=args.isv_url,
+            device_addrs=_parse_device_addrs(args.device_addr),
+        )
+    cache_path = args.cache if args.cache else f"{config.name}.cache.json"
     rng = Rng(args.deterministic_seed) if args.deterministic_seed is not None else Rng()
     return ClientSession(config, SocketNetwork(), rng=rng, cache_path=cache_path)
 

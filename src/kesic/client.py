@@ -61,10 +61,21 @@ class ClientConfig:
     kdc_addr: object
     isv_url: str
     device_addrs: dict[str, object]
-    tgs_id: str = kdc.DEFAULT_TGS_ID
-    isv_id: str = DEFAULT_ISV_ID
-    st_lifetime: int = kdc.DEFAULT_ST_LIFETIME
     udp_timeout: float = 2.0
+
+    @classmethod
+    def from_json_obj(
+        cls, obj: dict, kdc_addr: object, isv_url: str, device_addrs: dict[str, object]
+    ) -> "ClientConfig":
+        """A config from a provisioned identity object (name, id_c, ad_c)."""
+        return cls(
+            name=obj["name"],
+            id_c=int(obj["id_c"]),
+            ad_c=int(obj["ad_c"]),
+            kdc_addr=kdc_addr,
+            isv_url=isv_url,
+            device_addrs=device_addrs,
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,7 +200,7 @@ class ClientSession:
             {
                 "op": "as",
                 "id_c": self.config.name,
-                "id_tgs": self.config.tgs_id,
+                "id_tgs": kdc.DEFAULT_TGS_ID,
                 "ts": self.clock.now(),
             }
         )
@@ -208,11 +219,11 @@ class ClientSession:
     def _ensure_service_ticket(self) -> tuple[str, SymmetricKey]:
         """Return a (service ticket, session key) pair for the IoT server."""
         now = self.clock.now()
-        entry = self.cache.services.get(self.config.isv_id)
+        entry = self.cache.services.get(DEFAULT_ISV_ID)
         if entry is not None and entry["expires"] > now:
             return entry["st"], SymmetricKey(base64.b64decode(entry["k"]), KeyRole.SESSION)
         if entry is not None:
-            del self.cache.services[self.config.isv_id]
+            del self.cache.services[DEFAULT_ISV_ID]
             self.cache.save()
 
         tgt = self.cache.tgt
@@ -225,20 +236,13 @@ class ClientSession:
             k_c_tgs, self.config.name, self.config.ad_c, self.clock.now_us(), self.rng
         )
         resp = self._kdc_call(
-            {"op": "tgs", "id_v": self.config.isv_id, "tgt": tgt["blob"], "authn": authn}
+            {"op": "tgs", "id_v": DEFAULT_ISV_ID, "tgt": tgt["blob"], "authn": authn}
         )
         payload = crypto.open_json(k_c_tgs, resp["sealed"])
-        if payload["id_v"] != self.config.isv_id:
+        if payload["id_v"] != DEFAULT_ISV_ID:
             raise AuthFailure("service ticket names an unexpected service")
-        # The exchange does not reveal the ticket's own expiry, so track a
-        # conservative estimate from the issue time and the fleet-wide
-        # service-ticket lifetime; a stale estimate only costs a re-issue.
-        entry = {
-            "st": payload["st"],
-            "k": payload["k"],
-            "expires": payload["ts"] + self.config.st_lifetime,
-        }
-        self.cache.services[self.config.isv_id] = entry
+        entry = {"st": payload["st"], "k": payload["k"], "expires": payload["lf4"]}
+        self.cache.services[DEFAULT_ISV_ID] = entry
         self.cache.save()
         return entry["st"], SymmetricKey(base64.b64decode(entry["k"]), KeyRole.SESSION)
 
@@ -264,7 +268,7 @@ class ClientSession:
             if status == 401:
                 # The server rejected our Kerberos material; whatever we
                 # cached is not going to start working again on its own.
-                self.cache.services.pop(self.config.isv_id, None)
+                self.cache.services.pop(DEFAULT_ISV_ID, None)
                 self.cache.save()
             raise error_by_name(obj.get("error", "KesicError"), obj.get("detail", ""))
         payload = crypto.open_json(k_c_isv, obj["sealed"])

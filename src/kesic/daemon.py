@@ -15,11 +15,10 @@ import socket
 import sys
 import threading
 
-from . import kdc as kdc_mod
 from .clock import SystemClock, VirtualClock
-from .device import GeneralDevice, PowerDevice
-from .device.profile import GENERAL, DeviceProfile
+from .device import DEVICE_CLASSES, DeviceProfile
 from .isv import Isv, IsvConfig
+from .kdc import Kdc
 from .net import parse_hostport
 from .rng import Rng
 
@@ -47,15 +46,13 @@ def _load_json(path: str) -> dict:
 
 def kdc_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="kesic-kdc", description="Kerberos KDC (UDP)")
-    parser.add_argument("--db", required=True, help="principal database JSON")
+    parser.add_argument("--db", required=True, help="principals and ticket policy JSON")
     parser.add_argument("--port", type=int, default=8750)
-    parser.add_argument("--clock-skew", type=int, default=kdc_mod.DEFAULT_CLOCK_SKEW)
     parser.add_argument("--deterministic-seed", type=int, default=None)
     args = parser.parse_args(argv)
 
-    db = kdc_mod.PrincipalDb.from_json_obj(_load_json(args.db))
     rng = Rng(args.deterministic_seed) if args.deterministic_seed is not None else Rng()
-    center = kdc_mod.Kdc(db, rng=rng, clock_skew=args.clock_skew)
+    center = Kdc.from_json_obj(_load_json(args.db), rng=rng)
 
     sock = _bind_udp(args.port)
     _announce_ready(f"kdc 127.0.0.1:{args.port}")
@@ -130,14 +127,11 @@ def isv_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--http-port", type=int, default=8751)
     parser.add_argument("--sync-port", type=int, default=8752)
     parser.add_argument("--attest-port", type=int, default=8753)
-    parser.add_argument("--ticket-lifetime", type=int, default=None)
     parser.add_argument("--state", default=None, help="counter persistence JSON")
     parser.add_argument("--deterministic-seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     config, records = IsvConfig.from_json_obj(_load_json(args.devices))
-    if args.ticket_lifetime is not None:
-        config.iot_ticket_lifetime = args.ticket_lifetime
     rng = Rng(args.deterministic_seed) if args.deterministic_seed is not None else Rng()
     isv = Isv(config, records, rng=rng, state_path=args.state)
 
@@ -208,8 +202,7 @@ def device_main(argv: list[str] | None = None) -> int:
         state_path=args.state,
     )
     clock = VirtualClock(args.virtual_clock) if args.virtual_clock is not None else SystemClock()
-    device_cls = GeneralDevice if profile.dtype == GENERAL else PowerDevice
-    device = device_cls(profile, clock)
+    device = DEVICE_CLASSES[profile.dtype](profile, clock)
 
     sock = _bind_udp(args.port)
 

@@ -178,3 +178,7 @@ class PowerDevice(_DeviceBase):
             return
         self._event("attest-report", challenge=frame.challenge)
         send(self._isv_attest_addr, response.encode())
+
+
+# The emulated device class for each provisioned device type.
+DEVICE_CLASSES = {GENERAL: GeneralDevice, POWER: PowerDevice}

@@ -9,6 +9,7 @@ from ..kdc import DEFAULT_CLOCK_SKEW, key_from_b64
 
 GENERAL = "general"
 POWER = "power"
+DEFAULT_WINDOW = 16  # power-device counter tickets valid per wake cycle
 
 
 @dataclass
@@ -23,7 +24,7 @@ class DeviceProfile:
     memory: bytes
     isv_sync_addr: object
     isv_attest_addr: object
-    window: int = 16
+    window: int = DEFAULT_WINDOW
     freshness_window: int = DEFAULT_CLOCK_SKEW
     state_path: str | None = None
 
@@ -47,7 +48,7 @@ class DeviceProfile:
             memory=memory,
             isv_sync_addr=isv_sync_addr,
             isv_attest_addr=isv_attest_addr,
-            window=int(obj.get("window", 16)),
+            window=int(obj.get("window", DEFAULT_WINDOW)),
             freshness_window=int(obj.get("freshness_window", DEFAULT_CLOCK_SKEW)),
             state_path=state_path,
         )

@@ -178,7 +178,7 @@ class GeneralRot(RotBase):
 class PowerRot(RotBase):
     """Duty-cycled device core: counter window, single-use counter tickets."""
 
-    def __init__(self, *args, window: int = 16, **kwargs) -> None:
+    def __init__(self, *args, window: int, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._window = window
         self._base: int | None = None

@@ -102,7 +102,6 @@ class LiveTopology:
             from .scenario import DEFAULT_FLEET
 
             spec = FleetSpec.from_dict(DEFAULT_FLEET)
-        self.spec = spec
         self.seed = seed
         self._own_dir = workdir is None
         self._tmp = tempfile.TemporaryDirectory(prefix="kesic-live-") if self._own_dir else None
@@ -202,15 +201,11 @@ class LiveTopology:
     # -- clients -----------------------------------------------------------
 
     def client_session(self, name: str, cache_path: Optional[str] = None) -> ClientSession:
-        ident = self.fleet.clients[name]
-        config = ClientConfig(
-            name=name,
-            id_c=ident.id_c,
-            ad_c=ident.ad_c,
+        config = ClientConfig.from_json_obj(
+            self.fleet.client_json(name),
             kdc_addr=f"127.0.0.1:{self.kdc_port}",
             isv_url=f"http://127.0.0.1:{self.http_port}",
             device_addrs={d: f"127.0.0.1:{p}" for d, p in self.device_ports.items()},
-            st_lifetime=self.spec.st_lifetime,
         )
         if cache_path is None:
             cache_path = os.path.join(self.workdir, f"{name}.cache.json")

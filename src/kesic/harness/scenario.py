@@ -31,10 +31,9 @@ from typing import Optional
 
 from ..client import ClientConfig, ClientSession
 from ..clock import VirtualClock
-from ..device import GeneralDevice, PowerDevice
-from ..device.profile import GENERAL, DeviceProfile
+from ..device import DEVICE_CLASSES, DeviceProfile, GeneralDevice, PowerDevice
 from ..errors import KesicError, ScriptError, error_name
-from ..isv import Isv
+from ..isv import Isv, IsvConfig
 from ..kdc import Kdc
 from ..provision import Fleet, FleetSpec, provision
 from ..rng import Rng
@@ -66,20 +65,10 @@ class World:
         self.fleet: Fleet = provision(spec, self.rng)
         self.transport = VirtualTransport()
 
-        self.kdc = Kdc(
-            self.fleet.kdc_db(),
-            clock=self.clock,
-            rng=self.rng,
-            tgt_lifetime=spec.tgt_lifetime,
-            st_lifetime=spec.st_lifetime,
-            clock_skew=spec.clock_skew,
-        )
-        self.isv = Isv(
-            self.fleet.isv_config(),
-            self.fleet.device_records(),
-            clock=self.clock,
-            rng=self.rng,
-        )
+        # Every actor loads the JSON object its daemon would read from a file.
+        self.kdc = Kdc.from_json_obj(self.fleet.kdc_json(), clock=self.clock, rng=self.rng)
+        config, records = IsvConfig.from_json_obj(self.fleet.isv_json())
+        self.isv = Isv(config, records, clock=self.clock, rng=self.rng)
         self.clock.on_advance(self.isv.sync.expire_pending)
 
         self.transport.register(
@@ -91,35 +80,24 @@ class World:
 
         self.devices: dict[str, GeneralDevice | PowerDevice] = {}
         for name, mat in self.fleet.devices.items():
-            profile = DeviceProfile(
-                name=name,
-                id_dev=mat.id_dev,
-                dtype=mat.spec.dtype,
-                id_isv=spec.id_isv,
-                kl_sync=mat.kl_sync,
-                kl_tkt=mat.kl_tkt,
-                kl_key=mat.kl_key,
+            profile = DeviceProfile.from_json_obj(
+                self.fleet.device_json(name),
                 memory=mat.memory,
                 isv_sync_addr="isv:sync",
                 isv_attest_addr="isv:attest",
-                window=mat.spec.window,
-                freshness_window=mat.spec.freshness_window,
             )
-            cls = GeneralDevice if profile.dtype == GENERAL else PowerDevice
-            device = cls(profile, self.clock)
+            device = DEVICE_CLASSES[profile.dtype](profile, self.clock)
             self.devices[name] = device
             self.transport.register(f"dev:{name}", device.handle_datagram)
 
         self.clients: dict[str, ClientSession] = {}
-        for name, ident in self.fleet.clients.items():
-            config = ClientConfig(
-                name=name,
-                id_c=ident.id_c,
-                ad_c=ident.ad_c,
+        device_addrs = {d: f"dev:{d}" for d in self.fleet.devices}  # read-only, shared
+        for name in self.fleet.clients:
+            config = ClientConfig.from_json_obj(
+                self.fleet.client_json(name),
                 kdc_addr="kdc",
                 isv_url="http://sim/",
-                device_addrs={d: f"dev:{d}" for d in self.fleet.devices},
-                st_lifetime=spec.st_lifetime,
+                device_addrs=device_addrs,
             )
             network = SimNetwork(self.transport, f"client:{name}")
             self.clients[name] = ClientSession(config, network, clock=self.clock, rng=self.rng)

@@ -57,7 +57,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_IOT_TICKET_LIFETIME = 600
 DEFAULT_ATTEST_TIMEOUT = 30
-DEFAULT_WINDOW = 16
 
 _HTTP_STATUS = {
     "KerberosAuthFailure": 401,
@@ -80,7 +79,6 @@ class DeviceRecord:
     kl_tkt: SymmetricKey
     kl_key: SymmetricKey
     allow: frozenset[str]
-    window: int = DEFAULT_WINDOW
     ref_memory_hash: bytes = b""
     co_sync: int = 0
     co_pc: int = 0
@@ -433,7 +431,6 @@ class IsvConfig:
                     kl_tkt=key_from_b64(dev["kl_tkt"], KeyRole.LT_TICKET),
                     kl_key=key_from_b64(dev["kl_key"], KeyRole.LT_SESSKEY),
                     allow=frozenset(dev["allow"]),
-                    window=int(dev.get("window", DEFAULT_WINDOW)),
                     ref_memory_hash=bytes.fromhex(dev["memory_sha256"]),
                 )
             )

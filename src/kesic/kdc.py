@@ -10,14 +10,15 @@ are AES-GCM sealed JSON objects carried as base64 strings:
     TGT       E(Kl_TGS-AS, {"k", "id_c", "ad_c", "id_tgs", "lf2", "ts"})
     TGS req   {"op": "tgs", "id_v", "tgt", "authn"}
     authn     E(K_C-TGS,  {"id_c", "ad_c", "ts_us"})
-    TGS resp  {"sealed": E(K_C-TGS, {"k", "id_v", "ts", "st"})}
+    TGS resp  {"sealed": E(K_C-TGS, {"k", "id_v", "ts", "lf4", "st"})}
     ST        E(Kl_V-TGS, {"k", "id_c", "ad_c", "id_v", "ts", "lf4"})
 
 Successful decryption with the password-derived key is the client's
 implicit authentication; the AS never sees the password. Authenticator
 timestamps are microsecond-resolution so the (id_c, ts) replay cache does
 not collide for honest back-to-back requests. Lifetimes are absolute
-expiry instants in POSIX seconds. Any failed principal lookup returns the
+expiry instants in POSIX seconds; like RFC 4120's endtime, each reply tells
+the client its ticket's expiry. Any failed principal lookup returns the
 same UnknownPrincipal error to avoid enumeration.
 """
 
@@ -209,6 +210,18 @@ class Kdc:
         self.clock_skew = clock_skew
         self._replay = ReplayCache(clock_skew * 1_000_000)
 
+    @classmethod
+    def from_json_obj(cls, obj: dict, clock: Clock | None = None, rng: Rng | None = None) -> "Kdc":
+        """A KDC from its kdc.json object: the principals plus the ticket policy."""
+        return cls(
+            PrincipalDb.from_json_obj(obj),
+            clock=clock,
+            rng=rng,
+            tgt_lifetime=int(obj.get("tgt_lifetime", DEFAULT_TGT_LIFETIME)),
+            st_lifetime=int(obj.get("st_lifetime", DEFAULT_ST_LIFETIME)),
+            clock_skew=int(obj.get("clock_skew", DEFAULT_CLOCK_SKEW)),
+        )
+
     # --- exchanges -----------------------------------------------------------
 
     def as_exchange(self, req: dict) -> dict:
@@ -270,7 +283,7 @@ class Kdc:
             },
             self.rng,
         )
-        payload = {"k": key_b64(k_c_v), "id_v": id_v, "ts": now, "st": st}
+        payload = {"k": key_b64(k_c_v), "id_v": id_v, "ts": now, "lf4": lf4, "st": st}
         logger.debug("TGS issued service ticket %s -> %s (lf4=%d)", tgt["id_c"], id_v, lf4)
         return {"sealed": seal_json(k_c_tgs, payload, self.rng)}
 

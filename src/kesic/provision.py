@@ -3,10 +3,10 @@
 Clients get a password-derived KDC key and numeric (id_c, ad_c) identities;
 devices get three independently drawn long-term keys (sync, ticket, session
 key roles), a numeric id and a pseudo-program memory image whose SHA-256
-the server stores as the attestation reference. The same material can be
-handed to in-process actors (simulated mode) or serialized to the JSON
-files the daemons load (live mode). All randomness flows through one Rng,
-so a seeded fleet is fully reproducible.
+the server stores as the attestation reference. Each actor's config is one
+JSON object, loaded by the same loader whether the simulated world hands
+it over in process or a daemon reads it from the file written here. All
+randomness flows through one Rng, so a seeded fleet is fully reproducible.
 """
 
 from __future__ import annotations
@@ -16,10 +16,18 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .client import DEFAULT_ISV_ID
 from .crypto import KeyRole, SymmetricKey, derive_password_key
+from .device.profile import DEFAULT_WINDOW
 from .errors import ScriptError
-from .isv import DeviceRecord, IsvConfig
-from .kdc import DEFAULT_CLOCK_SKEW, ClientPrincipal, PrincipalDb, key_b64
+from .isv import DEFAULT_ATTEST_TIMEOUT, DEFAULT_IOT_TICKET_LIFETIME
+from .kdc import (
+    DEFAULT_CLOCK_SKEW,
+    DEFAULT_ST_LIFETIME,
+    DEFAULT_TGS_ID,
+    DEFAULT_TGT_LIFETIME,
+    key_b64,
+)
 from .rng import Rng
 
 DEFAULT_MEMORY_SIZE = 2048
@@ -37,7 +45,7 @@ class DeviceSpec:
     name: str
     dtype: str  # "general" | "power"
     allow: tuple[str, ...] | None = None  # None = every provisioned client
-    window: int = 16
+    window: int = DEFAULT_WINDOW
     freshness_window: int = DEFAULT_CLOCK_SKEW
     memory_size: int = DEFAULT_MEMORY_SIZE
 
@@ -46,13 +54,11 @@ class DeviceSpec:
 class FleetSpec:
     clients: tuple[ClientSpec, ...]
     devices: tuple[DeviceSpec, ...]
-    tgs_id: str = "tgs"
-    isv_kerberos_id: str = "isv"
     id_isv: int = 1
-    tgt_lifetime: int = 36000
-    st_lifetime: int = 3600
-    iot_ticket_lifetime: int = 600
-    attest_timeout: int = 30
+    tgt_lifetime: int = DEFAULT_TGT_LIFETIME
+    st_lifetime: int = DEFAULT_ST_LIFETIME
+    iot_ticket_lifetime: int = DEFAULT_IOT_TICKET_LIFETIME
+    attest_timeout: int = DEFAULT_ATTEST_TIMEOUT
     clock_skew: int = DEFAULT_CLOCK_SKEW
 
     @classmethod
@@ -71,7 +77,7 @@ class FleetSpec:
                     name=d["name"],
                     dtype=d["type"],
                     allow=tuple(d["allow"]) if "allow" in d else None,
-                    window=int(d.get("window", 16)),
+                    window=int(d.get("window", DEFAULT_WINDOW)),
                     freshness_window=int(d.get("freshness_window", DEFAULT_CLOCK_SKEW)),
                     memory_size=int(d.get("memory_size", DEFAULT_MEMORY_SIZE)),
                 )
@@ -114,53 +120,14 @@ class Fleet:
     devices: dict[str, DeviceMaterial] = field(default_factory=dict)
     secrets: list[tuple[str, bytes]] = field(default_factory=list)
 
-    # --- in-process views -------------------------------------------------------
+    # --- actor configs ------------------------------------------------------------
+    # One JSON object per actor is the only description of its config. The
+    # simulated World hands each object to the actor's from_json_obj loader;
+    # the write_* methods store it for the daemon, which uses the same loader.
 
-    def kdc_db(self) -> PrincipalDb:
-        db = PrincipalDb(tgs_id=self.spec.tgs_id, tgs_key=self.tgs_key)
-        for name, ident in self.clients.items():
-            db.clients[name] = ClientPrincipal(
-                name=name,
-                key=derive_password_key(ident.spec.password, name.encode("utf-8")),
-                ad_c=ident.ad_c,
-                services=frozenset(ident.spec.services),
-            )
-        db.services[self.spec.isv_kerberos_id] = self.service_key
-        return db
-
-    def isv_config(self) -> IsvConfig:
-        return IsvConfig(
-            kerberos_id=self.spec.isv_kerberos_id,
-            id_isv=self.spec.id_isv,
-            service_key=self.service_key,
-            users={name: (i.id_c, i.ad_c) for name, i in self.clients.items()},
-            iot_ticket_lifetime=self.spec.iot_ticket_lifetime,
-            attest_timeout=self.spec.attest_timeout,
-            clock_skew=self.spec.clock_skew,
-        )
-
-    def device_records(self) -> list[DeviceRecord]:
-        """Fresh mutable server-side records (one set per Isv instance)."""
-        return [
-            DeviceRecord(
-                name=name,
-                id_dev=mat.id_dev,
-                dtype=mat.spec.dtype,
-                kl_sync=mat.kl_sync,
-                kl_tkt=mat.kl_tkt,
-                kl_key=mat.kl_key,
-                allow=mat.allow,
-                window=mat.spec.window,
-                ref_memory_hash=hashlib.sha256(mat.memory).digest(),
-            )
-            for name, mat in self.devices.items()
-        ]
-
-    # --- live-mode files ----------------------------------------------------------
-
-    def write_kdc_db(self, path: str) -> None:
-        obj = {
-            "tgs_id": self.spec.tgs_id,
+    def kdc_json(self) -> dict:
+        return {
+            "tgs_id": DEFAULT_TGS_ID,
             "tgs_key": key_b64(self.tgs_key),
             "clients": {
                 name: {
@@ -170,13 +137,15 @@ class Fleet:
                 }
                 for name, i in self.clients.items()
             },
-            "services": {self.spec.isv_kerberos_id: key_b64(self.service_key)},
+            "services": {DEFAULT_ISV_ID: key_b64(self.service_key)},
+            "tgt_lifetime": self.spec.tgt_lifetime,
+            "st_lifetime": self.spec.st_lifetime,
+            "clock_skew": self.spec.clock_skew,
         }
-        _write_json(path, obj)
 
-    def write_isv_config(self, path: str) -> None:
-        obj = {
-            "kerberos_id": self.spec.isv_kerberos_id,
+    def isv_json(self) -> dict:
+        return {
+            "kerberos_id": DEFAULT_ISV_ID,
             "id_isv": self.spec.id_isv,
             "service_key": key_b64(self.service_key),
             "users": {name: {"id_c": i.id_c, "ad_c": i.ad_c} for name, i in self.clients.items()},
@@ -191,19 +160,16 @@ class Fleet:
                     "kl_tkt": key_b64(mat.kl_tkt),
                     "kl_key": key_b64(mat.kl_key),
                     "allow": sorted(mat.allow),
-                    "window": mat.spec.window,
                     "memory_sha256": hashlib.sha256(mat.memory).hexdigest(),
                 }
                 for name, mat in self.devices.items()
             },
         }
-        _write_json(path, obj)
 
-    def write_device_profile(self, name: str, path: str, memory_path: str) -> None:
+    def device_json(self, name: str) -> dict:
+        """The device's profile; its memory image travels separately."""
         mat = self.devices[name]
-        with open(memory_path, "wb") as fh:
-            fh.write(mat.memory)
-        obj = {
+        return {
             "name": name,
             "id_dev": mat.id_dev,
             "type": mat.spec.dtype,
@@ -214,11 +180,26 @@ class Fleet:
             "window": mat.spec.window,
             "freshness_window": mat.spec.freshness_window,
         }
-        _write_json(path, obj)
+
+    def client_json(self, name: str) -> dict:
+        ident = self.clients[name]
+        return {"name": name, "id_c": ident.id_c, "ad_c": ident.ad_c}
+
+    # --- live-mode files ----------------------------------------------------------
+
+    def write_kdc_db(self, path: str) -> None:
+        _write_json(path, self.kdc_json())
+
+    def write_isv_config(self, path: str) -> None:
+        _write_json(path, self.isv_json())
+
+    def write_device_profile(self, name: str, path: str, memory_path: str) -> None:
+        with open(memory_path, "wb") as fh:
+            fh.write(self.devices[name].memory)
+        _write_json(path, self.device_json(name))
 
     def write_client_identity(self, name: str, path: str) -> None:
-        ident = self.clients[name]
-        _write_json(path, {"name": name, "id_c": ident.id_c, "ad_c": ident.ad_c})
+        _write_json(path, self.client_json(name))
 
 
 def _write_json(path: str, obj: dict) -> None:

@@ -34,8 +34,6 @@ __all__ = [
     "FieldSpec",
     "render",
     "parse",
-    "encode",
-    "decode",
     "encode_fields",
     "mac_input",
     "SyncRequest",

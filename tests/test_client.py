@@ -18,7 +18,10 @@ from kesic.errors import (
     TicketExpired,
     Timeout,
 )
+from kesic.harness.scenario import World
 from kesic.harness.transport import SimNetwork
+
+from conftest import SMALL_FLEET
 
 _ADDRS = itertools.count()
 
@@ -77,13 +80,18 @@ class TestServiceTicket:
         assert session.cache.services["isv"]["st"] == st_first
 
     def test_reacquired_after_expiry(self, world, tmp_path):
-        session = cached_session(world, "alice", tmp_path)
-        session.login(password_of(world, "alice"))
-        session.get_iot_ticket("bulb")
-        first_expires = session.cache.services["isv"]["expires"]
-        world.clock.advance(world.spec.st_lifetime + 1)
-        session.get_iot_ticket("bulb")
-        assert session.cache.services["isv"]["expires"] == first_expires + world.spec.st_lifetime + 1
+        # The cached expiry is the one the KDC issued, default or not.
+        short = World.build(dataclasses.replace(SMALL_FLEET, st_lifetime=900), seed=1234)
+        for w in (world, short):
+            cache_dir = tmp_path / str(w.spec.st_lifetime)
+            cache_dir.mkdir()
+            session = cached_session(w, "alice", cache_dir)
+            session.login(password_of(w, "alice"))
+            session.get_iot_ticket("bulb")
+            first_expires = session.cache.services["isv"]["expires"]
+            w.clock.advance(w.spec.st_lifetime + 1)
+            session.get_iot_ticket("bulb")
+            assert session.cache.services["isv"]["expires"] == first_expires + w.spec.st_lifetime + 1
 
     def test_ticket_without_login_refused(self, world, tmp_path):
         session = cached_session(world, "alice", tmp_path)

@@ -10,7 +10,7 @@ import pytest
 from kesic import crypto, kdc, wire
 from kesic.clock import VirtualClock
 from kesic.crypto import KeyRole
-from kesic.isv import Isv
+from kesic.isv import Isv, IsvConfig
 from kesic.provision import provision
 from kesic.rng import Rng
 
@@ -23,14 +23,15 @@ class Setup:
         self.rng = Rng(77)
         self.fleet = provision(SMALL_FLEET, self.rng)
         state = os.path.join(str(tmp_path), "isv-state.json") if tmp_path else None
+        config, records = IsvConfig.from_json_obj(self.fleet.isv_json())
         self.isv = Isv(
-            self.fleet.isv_config(),
-            self.fleet.device_records(),
+            config,
+            records,
             clock=self.clock,
             rng=self.rng,
             state_path=state,
         )
-        self.kdc = kdc.Kdc(self.fleet.kdc_db(), clock=self.clock, rng=self.rng)
+        self.kdc = kdc.Kdc.from_json_obj(self.fleet.kdc_json(), clock=self.clock, rng=self.rng)
         self.sent: list[tuple[object, bytes]] = []
 
     # --- device-side frame builders -------------------------------------------

@@ -30,7 +30,7 @@ def setup():
     clock = VirtualClock()
     rng = Rng(99)
     fleet = provision(SMALL_FLEET, rng)
-    center = kdc.Kdc(fleet.kdc_db(), clock=clock, rng=rng)
+    center = kdc.Kdc.from_json_obj(fleet.kdc_json(), clock=clock, rng=rng)
     return clock, rng, fleet, center
 
 
@@ -283,3 +283,37 @@ class TestPrincipalDb:
         assert db.clients["alice"].ad_c == 2001
         assert db.clients["alice"].key == alice_key()
         assert db.services["isv"] == fleet.service_key
+
+
+class TestKdcConfigFile:
+    def test_written_policy_drives_the_loaded_kdc(self, tmp_path):
+        """kdc.json carries the fleet's lifetimes and skew to the daemon's loader."""
+        import base64
+        import dataclasses
+
+        spec = dataclasses.replace(SMALL_FLEET, tgt_lifetime=7200, st_lifetime=900, clock_skew=60)
+        fleet = provision(spec, Rng(5))
+        path = tmp_path / "kdc.json"
+        fleet.write_kdc_db(str(path))
+        clock = VirtualClock()
+        rng = Rng(6)
+        center = kdc.Kdc.from_json_obj(json.loads(path.read_text()), clock=clock, rng=rng)
+
+        payload = open_as(do_as(center, clock))
+        assert payload["lf2"] == clock.now() + 7200
+        k_c_tgs = SymmetricKey(base64.b64decode(payload["k"]), KeyRole.SESSION)
+
+        def tgs(offset_s):
+            ts = clock.now_us() + offset_s * 1_000_000
+            authn = kdc.make_authenticator(k_c_tgs, "alice", 2001, ts, rng)
+            return center.tgs_exchange(
+                {"op": "tgs", "id_v": "isv", "tgt": payload["tgt"], "authn": authn}
+            )
+
+        with pytest.raises(SkewExceeded):
+            tgs(61)
+        with pytest.raises(SkewExceeded):
+            tgs(-61)
+        out = crypto.open_json(k_c_tgs, tgs(59)["sealed"])
+        st = crypto.open_json(fleet.service_key, out["st"])
+        assert out["lf4"] == st["lf4"] == clock.now() + 900
