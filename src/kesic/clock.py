@@ -11,6 +11,7 @@ keeps the (id, ts) replay caches honest without moving protocol time.
 from __future__ import annotations
 
 import time
+import weakref
 
 
 class Clock:
@@ -69,10 +70,17 @@ class VirtualClock(Clock):
         if seconds < 0:
             raise ValueError("virtual clock cannot run backwards")
         self._now += int(seconds)
-        for fn in list(self._listeners):
-            fn(self._now)
+        for ref in list(self._listeners):
+            fn = ref()
+            if fn is not None:
+                fn(self._now)
 
-    def on_advance(self, fn) -> None:
-        """Register fn(now) to run after every advance (e.g. timeout sweeps)."""
-        self._listeners.append(fn)
+    def on_advance(self, method) -> None:
+        """Register a bound method ``method(now)`` to run after every advance
+        (e.g. timeout sweeps).
+
+        The clock holds it weakly: its owner usually holds the clock too, and
+        the pair must not keep each other alive.
+        """
+        self._listeners.append(weakref.WeakMethod(method))
 

@@ -128,20 +128,17 @@ class HmacTag:
     hex: str
 
     def __post_init__(self) -> None:
-        if len(self.hex) != 2 * TAG_LEN or not all(c in "0123456789abcdef" for c in self.hex):
+        if len(self.hex) != 2 * TAG_LEN or self.hex.strip("0123456789abcdef"):
             raise ValueError("tag must be 64 lowercase hex chars")
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "HmacTag":
         return cls(raw.hex())
 
-    def as_bytes(self) -> bytes:
-        return bytes.fromhex(self.hex)
-
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     """Raw primitive; accepts any key length (RFC 4231 vectors use 20 bytes)."""
-    return _hmac.new(key, message, hashlib.sha256).digest()
+    return _hmac.digest(key, message, "sha256")
 
 
 def hmac_tag(key: SymmetricKey, message: bytes) -> HmacTag:

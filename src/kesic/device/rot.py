@@ -11,12 +11,13 @@ send cannot reuse a counter value.
 from __future__ import annotations
 
 import enum
+import hmac
 import json
 import os
 
 from .. import crypto, wire
 from ..clock import Clock
-from ..crypto import SymmetricKey
+from ..crypto import KeyRole, SymmetricKey
 from ..errors import NotSynced, ReplayDetected
 from ..kdc import DEFAULT_CLOCK_SKEW, ReplayCache
 
@@ -45,6 +46,8 @@ class RotBase:
         state_path: str | None = None,
     ) -> None:
         self._id_dev = id_dev
+        # ID_dev as it ends every ticket input, rendered once.
+        self._id_dev_field = wire.render(wire.FieldKind.NUMERIC_ID, wire.ID_WIDTH, id_dev).encode()
         self._id_isv = id_isv
         self._kl_sync = kl_sync
         self._kl_tkt = kl_tkt
@@ -145,23 +148,26 @@ class GeneralRot(RotBase):
     def handle_service(
         self, frame: wire.ServiceRequestG, memory: bytes
     ) -> tuple[Verdict, bytes | None]:
-        """Check order: freshness, lifetime, authenticator, ticket, replay."""
+        """Check order: freshness, lifetime, authenticator, ticket, replay.
+
+        The MAC inputs are the received field bytes: ID_C || AD_c || LF
+        plus this device's rendered ID_dev for the ticket and session key,
+        TS for the authenticator. Decoding accepts only canonical
+        renderings, so these are the bytes the IoT server MAC'd.
+        """
         local = self.local_time_us()
         if abs(frame.ts - local) > self._freshness_window_us:
             return Verdict.INVALID_REQUEST, None
         if frame.lifetime * 1_000_000 <= local:
             return Verdict.TICKET_EXPIRED, None
-        session_key = crypto.make_session_key_g(
-            self._kl_key, frame.id_c, frame.ad_c, frame.lifetime, self._id_dev
-        )
-        expected = crypto.service_authenticator_g(session_key, frame.ts)
-        if expected.hex != frame.authenticator:
+        ticket_input = frame.field_bytes("id_c", "lifetime") + self._id_dev_field
+        session_key = crypto.hmac_sha256(self._kl_key.raw(), ticket_input)
+        expected = crypto.hmac_sha256(session_key, frame.field_bytes("ts"))
+        if not hmac.compare_digest(expected.hex(), frame.authenticator):
             return Verdict.AUTH_FAILURE, None
         # Recomputing over the plaintext fields rules out lifetime extension.
-        ticket = crypto.make_iot_ticket_g(
-            self._kl_tkt, frame.id_c, frame.ad_c, frame.lifetime, self._id_dev
-        )
-        if ticket.hex != frame.ticket:
+        ticket = crypto.hmac_sha256(self._kl_tkt.raw(), ticket_input)
+        if not hmac.compare_digest(ticket.hex(), frame.ticket):
             return Verdict.AUTH_FAILURE, None
         # Record the timestamp only after both tags verified, so a forgery
         # cannot burn an honest user's (id_c, ts) slot.
@@ -170,7 +176,7 @@ class GeneralRot(RotBase):
         except ReplayDetected:
             return Verdict.INVALID_REQUEST, None
         if frame.cmd == wire.CMD_ATTEST:
-            report = crypto.attest_memory(session_key, memory)
+            report = crypto.attest_memory(SymmetricKey(session_key, KeyRole.SESSION), memory)
             return Verdict.ACCEPT, report.hex.encode("ascii")
         return Verdict.ACCEPT, None
 
@@ -218,10 +224,9 @@ class PowerRot(RotBase):
         bit = 1 << (offset - 1)
         if self._used & bit:
             return Verdict.INVALID_COUNTER, None
-        ticket = crypto.make_iot_ticket_pc(
-            self._kl_tkt, frame.id_c, frame.ad_c, frame.co_pc, self._id_dev
-        )
-        if ticket.hex != frame.ticket:
+        ticket_input = frame.field_bytes("id_c", "co_pc") + self._id_dev_field
+        ticket = crypto.hmac_sha256(self._kl_tkt.raw(), ticket_input)
+        if not hmac.compare_digest(ticket.hex(), frame.ticket):
             return Verdict.AUTH_FAILURE, None
         # Consume the counter only after the ticket verified, so a forgery
         # cannot burn a slot out from under its honest holder.

@@ -26,15 +26,16 @@ the scenario fail without aborting the remaining steps.
 from __future__ import annotations
 
 import base64
-import json
 from typing import Optional
 
+from .. import wire
 from ..client import ClientConfig, ClientSession
 from ..clock import VirtualClock
 from ..device import DEVICE_CLASSES, DeviceProfile, GeneralDevice, PowerDevice
-from ..errors import KesicError, ScriptError, error_name
-from ..isv import Isv, IsvConfig
+from ..errors import FieldFormatError, KesicError, ScriptError, error_name
+from ..isv import Isv, IsvConfig, TicketManager
 from ..kdc import Kdc
+from ..net import sim_http_response
 from ..provision import Fleet, FleetSpec, provision
 from ..rng import Rng
 from .transport import SimNetwork, VirtualTransport
@@ -71,12 +72,13 @@ class World:
         self.isv = Isv(config, records, clock=self.clock, rng=self.rng)
         self.clock.on_advance(self.isv.sync.expire_pending)
 
-        self.transport.register(
-            "kdc", lambda data, src, send: send(src, self.kdc.handle_datagram(data, src))
-        )
+        # Handlers close over the actors, not over the world, so a dropped
+        # world is freed by reference counting alone.
+        kdc, tickets = self.kdc, self.isv.tickets
+        self.transport.register("kdc", lambda data, src, send: send(src, kdc.handle_datagram(data, src)))
         self.transport.register("isv:sync", self.isv.sync.handle_sync)
         self.transport.register("isv:attest", self.isv.sync.handle_attest)
-        self.transport.register("isv:http", self._http_endpoint)
+        self.transport.register("isv:http", lambda data, src, send: send(src, _http_endpoint(tickets, data)))
 
         self.devices: dict[str, GeneralDevice | PowerDevice] = {}
         for name, mat in self.fleet.devices.items():
@@ -114,20 +116,6 @@ class World:
         else:
             spec = FleetSpec.from_dict(fleet)
         return cls(spec, seed)
-
-    # --- endpoints -------------------------------------------------------------
-
-    def _http_endpoint(self, data: bytes, src: str, send) -> None:
-        from ..net import sim_http_response
-
-        try:
-            req = json.loads(data.decode("utf-8"))
-            status, headers, body = self.isv.tickets.handle_http(
-                req["method"], req["path"], dict(req["headers"]), req["body"].encode("utf-8")
-            )
-        except (ValueError, KeyError):
-            status, headers, body = 400, {}, b'{"error": "FieldFormatError"}'
-        send(src, sim_http_response(status, headers, body))
 
     # --- helpers ---------------------------------------------------------------
 
@@ -178,6 +166,18 @@ class World:
         self._harvest_runtime_secrets()
         probes = list(self.fleet.secrets) + sorted(self._runtime_secrets.items())
         return [label for label, secret in probes if self.transport.transcript_contains(secret)]
+
+
+def _http_endpoint(tickets: TicketManager, data: bytes) -> bytes:
+    """The ticket API behind the simulated HTTP envelope of ``net.sim_http_payload``."""
+    try:
+        req = wire.parse_json(data.decode("utf-8"), "http envelope")
+        status, headers, body = tickets.handle_http(
+            req["method"], req["path"], dict(req["headers"]), req["body"].encode("utf-8")
+        )
+    except (FieldFormatError, ValueError, KeyError, TypeError, AttributeError):
+        status, headers, body = 400, {}, b'{"error": "FieldFormatError"}'
+    return sim_http_response(status, headers, body)
 
 
 class ScenarioRunner:

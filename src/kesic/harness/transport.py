@@ -212,11 +212,11 @@ class SimNetwork(Network):
     def __init__(self, transport: VirtualTransport, addr: str) -> None:
         self.transport = transport
         self.addr = addr
-        self._inbox: list[bytes] = []
-        transport.register(addr, self._deliver)
-
-    def _deliver(self, data: bytes, src: str, send) -> None:
-        self._inbox.append(data)
+        # The fabric holds only the inbox, not this network, so the two do
+        # not keep each other alive.
+        inbox: list[bytes] = []
+        self._inbox = inbox
+        transport.register(addr, lambda data, src, send: inbox.append(data))
 
     def _await_reply(self, what: str) -> bytes:
         self.transport.pump()

@@ -333,9 +333,9 @@ class TicketManager:
         if not auth or not auth.startswith("KESIC "):
             raise KerberosAuthFailure("missing KESIC authorization token")
         try:
-            token = json.loads(b64decode(auth[6:].encode("ascii"), validate=True))
+            token = wire.parse_json(b64decode(auth[6:].encode("ascii"), validate=True), "token")
             return token["st"], token["authn"]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (FieldFormatError, ValueError, KeyError, TypeError) as exc:
             raise KerberosAuthFailure(f"malformed authorization token: {exc}") from exc
 
     def _ticket(self, headers: dict[str, str], body: bytes) -> tuple[str, str]:
@@ -375,6 +375,8 @@ class TicketManager:
             session_key = crypto.make_session_key_g(rec.kl_key, id_c_num, ad_c_num, nonce, rec.id_dev)
             kind = "lifetime"
         else:
+            # One hold of the (reentrant) record lock covers the check and
+            # the grant, so no mark_asleep or quarantine lands in between.
             with rec.lock:
                 # Quarantine outranks sleep state: a failed wake-attestation
                 # leaves the device both unhealthy and technically asleep.
@@ -382,7 +384,7 @@ class TicketManager:
                     raise DeviceUnhealthy(f"{rec.name} is quarantined")
                 if not rec.awake:
                     raise DeviceAsleep(f"{rec.name} is not in a wake cycle")
-            nonce = self.registry.next_co_pc(rec.id_dev)
+                nonce = self.registry.next_co_pc(rec.id_dev)
             ticket = crypto.make_iot_ticket_pc(rec.kl_tkt, id_c_num, ad_c_num, nonce, rec.id_dev)
             session_key = crypto.make_session_key_pc(rec.kl_key, id_c_num, ad_c_num, nonce, rec.id_dev)
             kind = "counter"

@@ -31,6 +31,7 @@ from base64 import b64decode, b64encode
 from collections import deque
 from dataclasses import dataclass, field
 
+from . import wire
 from .clock import Clock, SystemClock
 from .crypto import KeyRole, SymmetricKey, derive_password_key, open_json, seal_json
 from .errors import (
@@ -291,7 +292,7 @@ class Kdc:
 
     def handle_datagram(self, data: bytes, src: object = None) -> bytes:
         try:
-            req = json.loads(data)
+            req = wire.parse_json(data, "kdc request")
             if not isinstance(req, dict):
                 raise FieldFormatError("request must be a JSON object")
             op = req.get("op")

@@ -5,7 +5,8 @@ Numeric fields are zero-padded decimal; MACs and challenges are lowercase
 hex; command tokens are left-justified and space-padded. This module owns
 the canonical rendering of every field; MAC inputs everywhere else are the
 concatenation of the same renderings that appear on the wire, so both sides
-stay bit-identical by construction.
+stay bit-identical by construction. Decoding accepts only canonical
+renderings, so a receiver may MAC the received field bytes as they are.
 
 Layouts (widths in bytes, totals pinned by tests):
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import re
 import string
 from dataclasses import dataclass
 from typing import Any, ClassVar, Type, TypeVar
@@ -33,9 +35,8 @@ __all__ = [
     "FieldKind",
     "FieldSpec",
     "render",
-    "parse",
-    "encode_fields",
     "mac_input",
+    "parse_json",
     "SyncRequest",
     "SyncResponse",
     "AttestRequest",
@@ -74,7 +75,7 @@ CMD_LED_OFF = "LED_OFF"
 CMD_ATTEST = "ATTEST"
 
 _CMD_CHARS = set(string.ascii_uppercase + string.digits + "_")
-_HEX_CHARS = set("0123456789abcdef")
+_HEX_DIGITS = "0123456789abcdef"
 
 
 class FieldKind(enum.Enum):
@@ -114,7 +115,7 @@ def render(kind: FieldKind, width: int, value: Any) -> str:
     if kind in _HEX_KINDS:
         if not isinstance(value, str):
             raise FieldFormatError(f"{kind.value} wants str, got {type(value).__name__}")
-        if len(value) != width or not set(value) <= _HEX_CHARS:
+        if len(value) != width or value.strip(_HEX_DIGITS):
             raise FieldFormatError(f"{kind.value} must be {width} lowercase hex chars")
         return value
     if kind is FieldKind.COMMAND:
@@ -128,35 +129,54 @@ def render(kind: FieldKind, width: int, value: Any) -> str:
     raise FieldFormatError(f"unknown field kind {kind!r}")
 
 
-def parse(kind: FieldKind, text: str) -> Any:
-    """Inverse of render for one fixed-width field."""
+def _pattern(kind: FieldKind, width: int) -> str:
+    """Regular expression matching exactly the canonical renderings of a field."""
     if kind in _DECIMAL_KINDS:
-        if not text.isascii() or not text.isdigit():
-            raise FieldFormatError(f"{kind.value} field is not zero-padded decimal: {text!r}")
-        return int(text)
+        return f"[0-9]{{{width}}}"
     if kind in _HEX_KINDS:
-        if not set(text) <= _HEX_CHARS:
-            raise FieldFormatError(f"{kind.value} field is not lowercase hex: {text!r}")
-        return text
-    if kind is FieldKind.COMMAND:
-        token = text.rstrip(" ")
-        if not token or not set(token) <= _CMD_CHARS:
-            raise FieldFormatError(f"bad command field: {text!r}")
-        return token
-    raise FieldFormatError(f"unknown field kind {kind!r}")
+        return f"[0-9a-f]{{{width}}}"
+    # A command token of 1..width characters, space-padded to the width.
+    return "|".join(f"[A-Z0-9_]{{{n}}} {{{width - n}}}" for n in range(width, 0, -1))
+
+
+# What decode makes of each validated field text.
+_CONVERTERS = {kind: int for kind in _DECIMAL_KINDS} | {kind: str for kind in _HEX_KINDS}
+_CONVERTERS[FieldKind.COMMAND] = lambda text: text.rstrip(" ")
 
 
 M = TypeVar("M", bound="_Frame")
 
 
 class _Frame:
-    """Mixin for fixed-width frame dataclasses; subclasses define FIELDS."""
+    """Mixin for fixed-width frame dataclasses; subclasses list their dataclass
+    fields, in declaration order, in FIELDS.
+
+    A decoded frame keeps the bytes it was decoded from, so the MAC inputs
+    are slices of what was received rather than a second rendering. Field
+    offsets and the whole-frame pattern are computed once per frame class.
+    """
 
     FIELDS: ClassVar[tuple[FieldSpec, ...]] = ()
+    _SIZE: ClassVar[int]
+    _SPANS: ClassVar[dict[str, tuple[int, int]]]
+    _PATTERN: ClassVar[re.Pattern]
+    _CONVERT: ClassVar[tuple]
+    _received: bytes | None = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._SPANS = {}
+        pos = 0
+        for f in cls.FIELDS:
+            cls._SPANS[f.name] = (pos, pos + f.width)
+            pos += f.width
+        cls._SIZE = pos
+        cls._PATTERN = re.compile("".join(f"({_pattern(f.kind, f.width)})" for f in cls.FIELDS))
+        cls._CONVERT = tuple(_CONVERTERS[f.kind] for f in cls.FIELDS)
 
     @classmethod
     def size(cls) -> int:
-        return sum(f.width for f in cls.FIELDS)
+        return cls._SIZE
 
     def encode(self) -> bytes:
         parts = [render(f.kind, f.width, getattr(self, f.name)) for f in self.FIELDS]
@@ -164,32 +184,34 @@ class _Frame:
 
     @classmethod
     def decode(cls: Type[M], data: bytes) -> M:
-        if len(data) != cls.size():
-            raise LengthMismatch(f"{cls.__name__} wants {cls.size()} bytes, got {len(data)}")
+        if len(data) != cls._SIZE:
+            raise LengthMismatch(f"{cls.__name__} wants {cls._SIZE} bytes, got {len(data)}")
         try:
             text = data.decode("ascii")
         except UnicodeDecodeError as exc:
             raise FieldFormatError(f"{cls.__name__} is not ASCII") from exc
-        values = {}
-        pos = 0
-        for f in cls.FIELDS:
-            values[f.name] = parse(f.kind, text[pos : pos + f.width])
-            pos += f.width
-        return cls(**values)
+        match = cls._PATTERN.fullmatch(text)
+        if match is None:
+            raise FieldFormatError(f"{cls.__name__} has a field that is not a canonical rendering")
+        frame = cls(*[convert(field) for convert, field in zip(cls._CONVERT, match.groups())])
+        object.__setattr__(frame, "_received", bytes(data))
+        return frame
 
+    def field_bytes(self, first: str, last: str | None = None) -> bytes:
+        """On-wire bytes of fields ``first`` through ``last`` (default: just ``first``).
 
-def encode_fields(msg: _Frame, *names: str) -> bytes:
-    """Canonical rendering of a subset of fields, in the order given."""
-    specs = {f.name: f for f in msg.FIELDS}
-    parts = [render(specs[n].kind, specs[n].width, getattr(msg, n)) for n in names]
-    return "".join(parts).encode("ascii")
+        A decoded frame answers with a slice of the bytes it was decoded
+        from; a constructed one renders itself first.
+        """
+        data = self._received if self._received is not None else self.encode()
+        return data[self._SPANS[first][0] : self._SPANS[last or first][1]]
 
 
 def mac_input(msg: _Frame) -> bytes:
     """The bytes covered by a frame's trailing mac field: everything before it."""
     if msg.FIELDS[-1].name != "mac":
         raise FieldFormatError(f"{type(msg).__name__} has no trailing mac field")
-    return msg.encode()[: msg.size() - msg.FIELDS[-1].width]
+    return msg.field_bytes(msg.FIELDS[0].name, msg.FIELDS[-2].name)
 
 
 @dataclass(frozen=True)
@@ -284,6 +306,18 @@ class ServiceRequestPC(_Frame):
 
 # --- ticket API JSON shapes ---------------------------------------------------
 
+def parse_json(data: str | bytes, label: str) -> Any:
+    """``json.loads`` for bytes from the network.
+
+    Every defect is a FieldFormatError, including nesting too deep for the
+    parser, which surfaces as RecursionError rather than ValueError.
+    """
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise FieldFormatError(f"{label} is not JSON: {exc}") from exc
+
+
 def _require_exact_keys(obj: dict, keys: tuple[str, ...], label: str) -> None:
     if not isinstance(obj, dict):
         raise FieldFormatError(f"{label} must be a JSON object")
@@ -307,10 +341,7 @@ class TicketRequestJson:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "TicketRequestJson":
-        try:
-            obj = json.loads(text)
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise FieldFormatError(f"ticket request is not JSON: {exc}") from exc
+        obj = parse_json(text, "ticket request")
         _require_exact_keys(obj, cls.KEYS, "ticket request")
         if not isinstance(obj["user_name"], str) or not isinstance(obj["device_id"], str):
             raise FieldFormatError("ticket request fields must be strings")
@@ -334,16 +365,13 @@ class TicketResponseJson:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "TicketResponseJson":
-        try:
-            obj = json.loads(text)
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise FieldFormatError(f"ticket response is not JSON: {exc}") from exc
+        obj = parse_json(text, "ticket response")
         _require_exact_keys(obj, cls.KEYS, "ticket response")
         for key in ("device_id", "nonce", "timestamp"):
             if not isinstance(obj[key], int) or isinstance(obj[key], bool):
                 raise FieldFormatError(f"ticket response {key} must be an integer")
         for key in ("session_key", "ticket"):
             value = obj[key]
-            if not isinstance(value, str) or len(value) != MAC_WIDTH or not set(value) <= _HEX_CHARS:
+            if not isinstance(value, str) or len(value) != MAC_WIDTH or value.strip(_HEX_DIGITS):
                 raise FieldFormatError(f"ticket response {key} must be {MAC_WIDTH} hex chars")
         return cls(**obj)

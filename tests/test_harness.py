@@ -1,9 +1,11 @@
 """Message fabric, scenario runner, attack catalogue and live topology."""
 
 import copy
+import gc
 import json
 import os
 import socket
+import weakref
 
 import pytest
 
@@ -12,7 +14,7 @@ from kesic.errors import PortInUse, ScriptError, Timeout
 from kesic.harness.attacks import ATTACKS, attack_names
 from kesic.harness import live
 from kesic.harness.live import LiveTopology, run_live_scenario
-from kesic.harness.scenario import run_scenario
+from kesic.harness.scenario import World, run_scenario
 from kesic.harness.transport import SimNetwork, VirtualTransport
 from kesic.harness import simcli
 
@@ -175,6 +177,36 @@ class TestSimNetwork:
             net.udp_call("mute", b"ping")
         with pytest.raises(Timeout):
             net.udp_call("nowhere", b"ping")
+
+
+class TestWorld:
+    def test_dropped_world_is_freed_without_the_cycle_collector(self):
+        """No reference cycle keeps a world alive: with the collector off,
+        dropping the last reference frees the whole world at once."""
+        world = World.build(TINY_FLEET, seed=5)
+        world.boot_all()
+        world.clients["alice"].login("correct-horse-battery-9")
+        world.clients["alice"].call_device("bulb", "LED_ON")
+        world.clients["alice"].call_device("sensor", "LED_ON")
+        world.clock.advance(60)
+        isv = weakref.ref(world.isv)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del world
+            assert isv() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_malformed_http_envelope_gets_a_400(self):
+        world = World.build(TINY_FLEET, seed=5)
+        inbox = make_sink(world.transport, "probe")
+        bad_body = b'{"method": "POST", "path": "/ticket", "headers": {}, "body": 7}'
+        for payload in (b"[" * 60000, b"\xff", b"[]", b'{"method": 1}', bad_body):
+            world.transport.send("probe", "isv:http", payload)
+            world.transport.pump()
+            assert json.loads(inbox.pop())["status"] == 400
 
 
 HAPPY_SCRIPT = {

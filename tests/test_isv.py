@@ -355,3 +355,50 @@ class TestTicketApi:
         status, _, payload = s.isv.tickets.handle_http("POST", "/ticket", headers, b"{}")
         assert status == 400
         assert json.loads(payload)["error"] == "FieldFormatError"
+
+    def test_deeply_nested_token_is_401(self, s):
+        token = base64.b64encode(b"[" * 60000).decode()
+        body = wire.TicketRequestJson("alice", "bulb").to_json().encode()
+        status, _, payload = s.isv.tickets.handle_http(
+            "POST", "/ticket", {"Authorization": "KESIC " + token}, body
+        )
+        assert status == 401
+        assert json.loads(payload)["error"] == "KerberosAuthFailure"
+
+    def test_deeply_nested_body_is_400(self, s):
+        headers, _ = s.authorization()
+        status, _, payload = s.isv.tickets.handle_http("POST", "/ticket", headers, b"[" * 60000)
+        assert status == 400
+        assert json.loads(payload)["error"] == "FieldFormatError"
+
+    def test_power_grant_holds_the_record_lock(self, s, monkeypatch):
+        """The awake/healthy check and the counter grant form one critical
+        section, so a concurrent mark_asleep cannot land between them."""
+        wake_sensor(s)
+        rec = s.record("sensor")
+        grant = s.isv.registry.next_co_pc
+        held = []
+
+        def checked_grant(id_dev):
+            held.append(_held_by_another_thread(rec.lock))
+            return grant(id_dev)
+
+        monkeypatch.setattr(s.isv.registry, "next_co_pc", checked_grant)
+        status, _, _, _ = s.request_ticket("sensor")
+        assert status == 200
+        assert held == [True]
+
+
+def _held_by_another_thread(lock) -> bool:
+    """True if a fresh thread cannot take ``lock`` right now."""
+    taken = []
+
+    def probe():
+        if lock.acquire(blocking=False):
+            lock.release()
+            taken.append(True)
+
+    t = threading.Thread(target=probe)
+    t.start()
+    t.join()
+    return not taken

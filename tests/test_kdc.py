@@ -250,6 +250,13 @@ class TestDatagramLayer:
         resp = json.loads(center.handle_datagram(b'"just a string"'))
         assert resp["error"] == "FieldFormatError"
 
+    def test_deeply_nested_request_is_a_format_error(self, setup):
+        """Nesting deep enough to exhaust the JSON parser's recursion limit
+        gets the named error like any other malformed request."""
+        _, _, _, center = setup
+        resp = json.loads(center.handle_datagram(b"[" * 60000))
+        assert resp["error"] == "FieldFormatError"
+
     def test_unknown_client_error_matches_wrong_tgs_error(self, setup):
         """Probing for principal existence leaks nothing: both failures are
         the same error name."""

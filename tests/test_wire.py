@@ -123,12 +123,72 @@ def test_mac_input_is_frame_prefix():
         wire.mac_input(wire.AttestResponse(id_dev=1, attst_hmac="0" * 64))
 
 
-def test_encode_fields_order_follows_caller():
-    frame = wire.ServiceRequestG(
-        cmd="LED_ON", id_c=1001, ad_c=2001, lifetime=5, ticket="0" * 64, ts=7, authenticator="0" * 64
-    )
-    out = wire.encode_fields(frame, "id_c", "ad_c", "lifetime")
-    assert out == b"00001001" + b"00002001" + b"0" * 27 + b"5"
+SAMPLES = [
+    wire.SyncRequest(id_dev=101, co_sync=7, mac="ab" * 32),
+    wire.SyncResponse(id_isv=1, co_sync=9, sync_val=1_700_000_000, mac="cd" * 32),
+    wire.AttestRequest(id_isv=1, challenge="ef" * 16, mac="01" * 32),
+    wire.AttestResponse(id_dev=101, attst_hmac="23" * 32),
+    wire.ServiceRequestG(
+        cmd="LED_ON", id_c=1001, ad_c=2001, lifetime=1_700_000_600, ticket="45" * 32,
+        ts=1_700_000_000_000_001, authenticator="67" * 32,
+    ),
+    wire.ServiceRequestPC(cmd="ATTEST", id_c=1001, ad_c=2001, co_pc=1_700_000_005, ticket="89" * 32),
+]
+DECIMAL = {wire.FieldKind.NUMERIC_ID, wire.FieldKind.COUNTER, wire.FieldKind.TIMESTAMP, wire.FieldKind.LIFETIME}
+HEX = {wire.FieldKind.CHALLENGE, wire.FieldKind.HEX_MAC}
+
+
+def _spans(cls):
+    pos = 0
+    for f in cls.FIELDS:
+        yield f, pos, pos + f.width
+        pos += f.width
+
+
+def _malformed_cases():
+    """(id, frame class, bytes, error class) for one defect at a time."""
+    for frame in SAMPLES:
+        cls, data = type(frame), frame.encode()
+        name = cls.__name__
+        yield f"{name}-short", cls, data[:-1], LengthMismatch
+        yield f"{name}-long", cls, data + b"0", LengthMismatch
+        for f, start, end in _spans(cls):
+            def at(offset, text):
+                return data[:offset] + text + data[offset + len(text):]
+
+            yield f"{name}-{f.name}-non-ascii", cls, at(start, b"\xff"), FieldFormatError
+            if f.kind in DECIMAL:
+                yield f"{name}-{f.name}-non-digit", cls, at(end - 1, b"x"), FieldFormatError
+                yield f"{name}-{f.name}-sign", cls, at(start, b"+"), FieldFormatError
+            elif f.kind in HEX:
+                yield f"{name}-{f.name}-uppercase", cls, at(end - 1, b"A"), FieldFormatError
+                yield f"{name}-{f.name}-non-hex", cls, at(start, b"g"), FieldFormatError
+            else:
+                yield f"{name}-{f.name}-lowercase", cls, at(start, b"l"), FieldFormatError
+                yield f"{name}-{f.name}-leading-space", cls, at(start, b" "), FieldFormatError
+                yield f"{name}-{f.name}-inner-space", cls, at(start, b"LED ON  "), FieldFormatError
+                yield f"{name}-{f.name}-blank", cls, at(start, b" " * f.width), FieldFormatError
+
+
+MALFORMED = list(_malformed_cases())
+
+
+@pytest.mark.parametrize("cls,data,error", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
+def test_decode_rejects_each_malformed_field(cls, data, error):
+    with pytest.raises(error):
+        cls.decode(data)
+
+
+@pytest.mark.parametrize("frame", SAMPLES, ids=lambda f: type(f).__name__)
+def test_decoded_frame_equals_constructed_and_keeps_its_bytes(frame):
+    data = frame.encode()
+    decoded = type(frame).decode(data)
+    assert decoded == frame and hash(decoded) == hash(frame)
+    assert decoded.encode() == data
+    for f, start, end in _spans(type(frame)):
+        assert decoded.field_bytes(f.name) == frame.field_bytes(f.name) == data[start:end]
+    first, last = frame.FIELDS[0].name, frame.FIELDS[-1].name
+    assert decoded.field_bytes(first, last) == data
 
 
 # --- ticket API JSON --------------------------------------------------------------
