@@ -24,6 +24,7 @@ from . import crypto, kdc, wire
 from .clock import Clock, SystemClock
 from .crypto import KeyRole, SymmetricKey
 from .device import GENERAL, NOT_SYNCED_TOKEN, POWER, VERDICT_TOKENS
+from .durable import atomic_write
 from .errors import (
     AuthFailure,
     DeviceRejected,
@@ -126,13 +127,8 @@ class CredentialCache:
             indent=2,
             sort_keys=True,
         )
-        tmp = self.path + ".tmp"
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        try:
-            os.write(fd, blob.encode("utf-8"))
-        finally:
-            os.close(fd)
-        os.replace(tmp, self.path)
+        # Not fsync'd: a cache lost to a crash costs only a fresh login.
+        atomic_write(self.path, blob.encode("utf-8"), durable=False)
 
     def summary(self, now: int) -> dict:
         """Redacted view for display: no key or ticket material."""
@@ -183,7 +179,7 @@ class ClientSession:
             json.dumps(request, sort_keys=True).encode("utf-8"),
             timeout=self.config.udp_timeout,
         )
-        resp = json.loads(data.decode("utf-8"))
+        resp = wire.parse_json(data, "KDC reply")
         if "error" in resp:
             raise error_by_name(resp["error"], resp.get("detail", ""))
         return resp
@@ -263,7 +259,7 @@ class ClientSession:
             {"Authorization": "KESIC " + token, "Content-Type": "application/json"},
             body,
         )
-        obj = json.loads(raw.decode("utf-8"))
+        obj = wire.parse_json(raw, "ticket API reply")
         if status != 200:
             if status == 401:
                 # The server rejected our Kerberos material; whatever we

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import http.server
 import json
+import logging
 import socket
 import sys
 import threading
@@ -22,7 +23,10 @@ from .kdc import Kdc
 from .net import parse_hostport
 from .rng import Rng
 
+logger = logging.getLogger(__name__)
+
 _RECV_SIZE = 65535
+MAX_BODY_BYTES = 64 * 1024  # a ticket request is a few hundred bytes
 
 
 def _bind_udp(port: int) -> socket.socket:
@@ -54,16 +58,18 @@ def kdc_main(argv: list[str] | None = None) -> int:
     rng = Rng(args.deterministic_seed) if args.deterministic_seed is not None else Rng()
     center = Kdc.from_json_obj(_load_json(args.db), rng=rng)
 
+    def handle(data: bytes, src, send) -> None:
+        send(src, center.handle_datagram(data, src))
+
     sock = _bind_udp(args.port)
     _announce_ready(f"kdc 127.0.0.1:{args.port}")
     try:
-        while True:
-            data, src = sock.recvfrom(_RECV_SIZE)
-            sock.sendto(center.handle_datagram(data, src), src)
+        _udp_pump(sock, handle)
     except KeyboardInterrupt:
         return 0
     finally:
         sock.close()
+    return 1  # the socket failed
 
 
 # --- IoT server ---------------------------------------------------------------
@@ -71,11 +77,26 @@ def kdc_main(argv: list[str] | None = None) -> int:
 
 class _TicketHttpHandler(http.server.BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
+        length = self.headers.get("Content-Length", "0" if method == "GET" else None)
+        if length is None or not (length.isascii() and length.isdigit()):
+            self._refuse(400, f"Content-Length must be a decimal byte count, got {length!r}")
+            return
+        if len(length) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
+            self._refuse(413, f"request bodies are limited to {MAX_BODY_BYTES} bytes")
+            return
+        body = self.rfile.read(int(length))
         status, headers, payload = self.server.isv.tickets.handle_http(
             method, self.path, dict(self.headers.items()), body
         )
+        self._reply(status, headers, payload)
+
+    def _refuse(self, status: int, detail: str) -> None:
+        # The body stays unread, so this connection cannot carry another request.
+        self.close_connection = True
+        payload = json.dumps({"error": "FieldFormatError", "detail": detail}, sort_keys=True)
+        self._reply(status, {"Content-Type": "application/json"}, payload.encode())
+
+    def _reply(self, status: int, headers: dict[str, str], payload: bytes) -> None:
         self.send_response(status)
         for key, value in headers.items():
             self.send_header(key, value)
@@ -118,7 +139,12 @@ def _udp_pump(sock: socket.socket, handler, tick=None) -> None:
             continue
         except OSError:
             return
-        handler(data, src, send)
+        try:
+            handler(data, src, send)
+        except Exception:
+            # Last resort: a handler bug or a failed write must not stop
+            # the service for every other peer.
+            logger.exception("handler failed on %d bytes from %s", len(data), src)
 
 
 def isv_main(argv: list[str] | None = None) -> int:
@@ -127,7 +153,7 @@ def isv_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--http-port", type=int, default=8751)
     parser.add_argument("--sync-port", type=int, default=8752)
     parser.add_argument("--attest-port", type=int, default=8753)
-    parser.add_argument("--state", default=None, help="counter persistence JSON")
+    parser.add_argument("--state", default=None, help="counter journal (created if missing)")
     parser.add_argument("--deterministic-seed", type=int, default=None)
     args = parser.parse_args(argv)
 
@@ -160,6 +186,7 @@ def isv_main(argv: list[str] | None = None) -> int:
         httpd.server_close()
         sync_sock.close()
         attest_sock.close()
+        isv.registry.close()
 
 
 # --- Emulated device ------------------------------------------------------------

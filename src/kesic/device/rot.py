@@ -3,9 +3,9 @@
 All long-term keys, the persistent sync counter, the synced time/counter
 state and every verification step live behind this class boundary. The
 non-secure device loop only sees verdicts and response payloads; key bytes
-never cross the interface. The persistent counter is written (tmp + rename)
-before a sync request leaves the device, so a crash between increment and
-send cannot reuse a counter value.
+never cross the interface. The persistent counter is written and fsync'd
+(tmp + rename) before a sync request leaves the device, so a crash or power
+loss between increment and send cannot reuse a counter value.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import os
 from .. import crypto, wire
 from ..clock import Clock
 from ..crypto import KeyRole, SymmetricKey
+from ..durable import atomic_write
 from ..errors import NotSynced, ReplayDetected
 from ..kdc import DEFAULT_CLOCK_SKEW, ReplayCache
 
@@ -67,12 +68,8 @@ class RotBase:
         return 0
 
     def _persist_co_sync(self) -> None:
-        if not self._state_path:
-            return
-        tmp = self._state_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"co_sync": self._co_sync}, fh)
-        os.replace(tmp, self._state_path)
+        if self._state_path:
+            atomic_write(self._state_path, json.dumps({"co_sync": self._co_sync}).encode())
 
     # --- sync phase ----------------------------------------------------------------
 

@@ -29,6 +29,7 @@ __all__ = [
     "DeviceAsleep",
     "DeviceUnhealthy",
     "KerberosAuthFailure",
+    "CorruptState",
     "NotSynced",
     "DeviceRejected",
     "Timeout",
@@ -129,6 +130,10 @@ class DeviceUnhealthy(KesicError):
 
 class KerberosAuthFailure(KesicError):
     """The ticket API rejected the Kerberos authorization token."""
+
+
+class CorruptState(KesicError):
+    """A persisted counter file is not in the expected format."""
 
 
 # --- device ------------------------------------------------------------------

@@ -16,7 +16,9 @@ State rules enforced here:
     previously accepted report quarantines the device for the rest of the
     wake cycle;
   * co_pc is read-and-incremented atomically per issued ticket, so
-    concurrent grants carry distinct consecutive counters.
+    concurrent grants carry distinct consecutive counters;
+  * with a state path, every counter change is fsync'd to the journal
+    before the frame or ticket that carries it is sent.
 
 Failures on the sync/attestation paths are silent on the wire (the device
 will time out) and recorded as audit events; the ticket API answers with
@@ -25,9 +27,11 @@ explicit JSON errors.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
+import re
 import threading
 from base64 import b64decode
 from dataclasses import dataclass, field
@@ -35,8 +39,10 @@ from dataclasses import dataclass, field
 from . import crypto, wire
 from .clock import Clock, SystemClock
 from .crypto import KeyRole, SymmetricKey
+from .durable import atomic_write
 from .errors import (
     AuthFailure,
+    CorruptState,
     CounterOutOfRange,
     DeviceAsleep,
     DeviceUnhealthy,
@@ -88,49 +94,100 @@ class DeviceRecord:
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
 
+_JOURNAL_HEADER = b"kesic-isv-counters 1\n"
+_JOURNAL_RECORD = re.compile(rb"(\d{1,32}) (\d{1,32}) (\d{1,32})")  # widest field: co_sync
+
+
 class DeviceRegistry:
-    """Device records with counter persistence (write-then-rename snapshots)."""
+    """Device records, with their counters kept in an append-only journal.
+
+    The journal at ``state_path`` is the header line ``kesic-isv-counters 1``
+    and then one ``id_dev co_sync co_pc`` line per counter change. A change
+    is appended and fsync'd before the frame or ticket that carries it
+    leaves. Restore takes each field's maximum per device and skips a torn
+    last line. The journal is rewritten to one line per device at start-up
+    and whenever it would grow past twice the fleet, so the writes per
+    change stay constant in fleet size.
+    """
 
     def __init__(self, records: list[DeviceRecord], state_path: str | None = None) -> None:
+        self._fd: int | None = None  # O_APPEND journal; None until compacted
         self.by_id = {rec.id_dev: rec for rec in records}
         self.by_name = {rec.name: rec for rec in records}
         self._state_path = state_path
         self._state_lock = threading.Lock()
-        if state_path and os.path.exists(state_path):
-            self._restore(state_path)
+        self._lines = 0  # counter records in the journal
+        if state_path:
+            if os.path.exists(state_path):
+                self._restore(state_path)
+            self._compact()
 
     def _restore(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-        for key, counters in state.get("devices", {}).items():
-            rec = self.by_id.get(int(key))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if not data.startswith(_JOURNAL_HEADER):
+            raise CorruptState(f"{path} is not a kesic-isv-counters 1 journal")
+        # The text after the last newline is empty, or an append that was
+        # torn by a crash and never acknowledged: skip it.
+        lines = data[len(_JOURNAL_HEADER):].split(b"\n")[:-1]
+        for number, line in enumerate(lines, start=2):
+            match = _JOURNAL_RECORD.fullmatch(line)
+            if match is None:
+                raise CorruptState(f"{path}:{number}: malformed counter record")
+            rec = self.by_id.get(int(match[1]))
             if rec is None:
                 continue
-            rec.co_sync = max(rec.co_sync, int(counters["co_sync"]))
-            rec.co_pc = max(rec.co_pc, int(counters["co_pc"]))
+            rec.co_sync = max(rec.co_sync, int(match[2]))
+            rec.co_pc = max(rec.co_pc, int(match[3]))
 
-    def snapshot(self) -> None:
+    def snapshot(self, rec: DeviceRecord) -> None:
+        """Make ``rec``'s counters durable; the caller holds ``rec.lock``."""
         if not self._state_path:
             return
         with self._state_lock:
-            state = {
-                "devices": {
-                    str(rec.id_dev): {"co_sync": rec.co_sync, "co_pc": rec.co_pc}
-                    for rec in self.by_id.values()
-                }
-            }
-            tmp = self._state_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(state, fh, sort_keys=True)
-            os.replace(tmp, self._state_path)
+            if self._fd is None or self._lines >= 2 * len(self.by_id):
+                self._compact()
+                return
+            line = f"{rec.id_dev} {rec.co_sync} {rec.co_pc}\n".encode()
+            try:
+                if os.write(self._fd, line) != len(line):
+                    raise OSError(errno.EIO, "short append to the counter journal")
+                os.fsync(self._fd)
+            except OSError:
+                # The journal's tail is unknown now; the next change
+                # rewrites it whole from memory, which is never behind it.
+                self._close_journal()
+                raise
+            self._lines += 1
+
+    def _compact(self) -> None:
+        # Records not locked here change only before their own snapshot,
+        # which waits for _state_lock and appends the newer value.
+        self._close_journal()
+        body = "".join(f"{r.id_dev} {r.co_sync} {r.co_pc}\n" for r in self.by_id.values())
+        atomic_write(self._state_path, _JOURNAL_HEADER + body.encode())
+        self._fd = os.open(self._state_path, os.O_WRONLY | os.O_APPEND)
+        self._lines = len(self.by_id)
+
+    def _close_journal(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    def close(self) -> None:
+        """Release the journal; a later counter change reopens it."""
+        with self._state_lock:
+            self._close_journal()
+
+    def __del__(self) -> None:
+        self._close_journal()
 
     def next_co_pc(self, id_dev: int) -> int:
         rec = self.by_id[id_dev]
         with rec.lock:
             rec.co_pc += 1
-            value = rec.co_pc
-        self.snapshot()
-        return value
+            self.snapshot(rec)
+            return rec.co_pc
 
     def mark_asleep(self, name: str) -> None:
         rec = self.by_name[name]
@@ -190,7 +247,7 @@ class SyncManager:
                 self._event("sync-reject", device=rec.name, error="AuthFailure")
                 return
             rec.co_sync = frame.co_sync
-        self.registry.snapshot()
+            self.registry.snapshot(rec)
         if rec.dtype == GENERAL:
             sync_val = self.clock.now()
             mac = crypto.sync_response_mac(rec.kl_sync, self.id_isv, frame.co_sync, sync_val)
@@ -254,11 +311,11 @@ class SyncManager:
             # Counter re-initialization, clamped so co_pc never decreases
             # even under a frozen virtual clock.
             rec.co_pc = max(self.clock.now(), rec.co_pc)
+            self.registry.snapshot(rec)
             rec.awake = True
             rec.healthy = True
             sync_val = rec.co_pc
             co_sync = pend.co_sync
-        self.registry.snapshot()
         with self._lock:
             self.pending.pop(frame.id_dev, None)
         mac = crypto.sync_response_mac(rec.kl_sync, self.id_isv, co_sync, sync_val)

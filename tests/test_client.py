@@ -112,6 +112,29 @@ class TestServiceTicket:
             session.get_iot_ticket("bulb")
 
 
+HOSTILE_REPLIES = [b"[" * 60000, b"\xff"]
+
+
+class TestHostileReplies:
+    """A malformed server reply is a FieldFormatError, not a parser crash."""
+
+    @pytest.mark.parametrize("reply", HOSTILE_REPLIES, ids=["nested", "non-utf8"])
+    def test_kdc_reply(self, world, tmp_path, monkeypatch, reply):
+        session = cached_session(world, "alice", tmp_path)
+        monkeypatch.setattr(session.network, "udp_call", lambda *args, **kwargs: reply)
+        with pytest.raises(FieldFormatError):
+            session.login(password_of(world, "alice"))
+
+    @pytest.mark.parametrize("status", [200, 401])
+    @pytest.mark.parametrize("reply", HOSTILE_REPLIES, ids=["nested", "non-utf8"])
+    def test_ticket_api_reply(self, world, tmp_path, monkeypatch, reply, status):
+        session = cached_session(world, "alice", tmp_path)
+        session.login(password_of(world, "alice"))
+        monkeypatch.setattr(session.network, "http_post", lambda *args: (status, {}, reply))
+        with pytest.raises(FieldFormatError):
+            session.get_iot_ticket("bulb")
+
+
 class TestDeviceCalls:
     def test_general_ticket_serves_many_calls(self, world, tmp_path):
         session = cached_session(world, "alice", tmp_path)

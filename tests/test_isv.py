@@ -1,6 +1,7 @@
 """IoT server: sync manager counter/attestation rules and the ticket API."""
 
 import base64
+import errno
 import json
 import os
 import threading
@@ -10,7 +11,9 @@ import pytest
 from kesic import crypto, kdc, wire
 from kesic.clock import VirtualClock
 from kesic.crypto import KeyRole
-from kesic.isv import Isv, IsvConfig
+from kesic.device import POWER
+from kesic.errors import CorruptState
+from kesic.isv import DeviceRecord, DeviceRegistry, Isv, IsvConfig
 from kesic.provision import provision
 from kesic.rng import Rng
 
@@ -109,6 +112,26 @@ def wake_sensor(s: Setup, co: int = 1) -> None:
     s.push_sync("sensor", co)
     challenge = last_attest_challenge(s)
     s.isv.sync.handle_attest(s.report_frame("sensor", challenge), "dev", s.send)
+
+
+def power_nonce(s: Setup) -> int:
+    """Fetch one power ticket for the sensor and return its counter."""
+    status, _, obj, key = s.request_ticket("sensor")
+    assert status == 200, obj
+    return crypto.open_json(key, obj["sealed"])["nonce"]
+
+
+def window_base(s: Setup) -> int:
+    """sync_val of the last SyncResponse the ISV sent: the co_pc window base."""
+    payload = next(p for _, p in reversed(s.sent) if len(p) == wire.SyncResponse.size())
+    return wire.SyncResponse.decode(payload).sync_val
+
+
+def assert_no_ticket_reissued(s: Setup, co_sync: int, delivered: list[int]) -> None:
+    """Wake and attest ``s`` again; no delivered counter may be valid anew."""
+    wake_sensor(s, co=co_sync)
+    assert window_base(s) >= max(delivered)  # old tickets fall below the window
+    assert min(power_nonce(s) for _ in range(3)) > max(delivered)
 
 
 @pytest.fixture
@@ -266,6 +289,125 @@ class TestRegistryPersistence:
             t.join()
         assert len(out) == 200
         assert len(set(out)) == 200
+
+
+def _fleet_records(n: int, co_pc: int) -> list[DeviceRecord]:
+    # Counter bookkeeping needs no keys.
+    return [
+        DeviceRecord(
+            name=f"pow{i}", id_dev=101 + i, dtype=POWER, kl_sync=None, kl_tkt=None,
+            kl_key=None, allow=frozenset(), co_sync=1, co_pc=co_pc,
+        )
+        for i in range(n)
+    ]
+
+
+def _fail_with_eio(*args):
+    raise OSError(errno.EIO, "injected I/O error")
+
+
+class TestCounterJournal:
+    def test_bytes_per_ticket_are_flat_in_fleet_size(self, tmp_path, monkeypatch):
+        """3x fleet tickets round-robin, compactions included, cost one to two
+        record lines each at 10, 1,000 and 10,000 devices."""
+        epoch = 1_800_000_000
+        line = len(f"{101 + 9999} 1 {epoch}\n")
+        monkeypatch.setattr(os, "fsync", lambda fd: None)  # counting bytes, not timing
+        per_ticket = {}
+        for n in (10, 1_000, 10_000):
+            path = str(tmp_path / f"journal-{n}")
+            registry = DeviceRegistry(_fleet_records(n, epoch), state_path=path)
+            written = []
+            real_write = os.write
+
+            def counting_write(fd, data, written=written, real_write=real_write):
+                written.append(len(data))
+                return real_write(fd, data)
+
+            with monkeypatch.context() as m:
+                m.setattr(os, "write", counting_write)
+                for i in range(3 * n):
+                    registry.next_co_pc(101 + i % n)
+            per_ticket[n] = sum(written) / (3 * n)
+            assert os.path.getsize(path) <= len("kesic-isv-counters 1\n") + 2 * n * line
+            registry.close()
+            restored = DeviceRegistry(_fleet_records(n, 0), state_path=path)
+            assert {r.co_pc for r in restored.by_id.values()} == {epoch + 3}
+        assert all(line / 2 <= b <= 3 * line for b in per_ticket.values()), per_ticket
+        assert max(per_ticket.values()) - min(per_ticket.values()) <= 8, per_ticket
+
+    @pytest.mark.parametrize("call", ["fsync", "write"])
+    def test_failed_append_in_next_co_pc_never_reissues(self, tmp_path, monkeypatch, call):
+        s1 = Setup(tmp_path)
+        wake_sensor(s1)
+        delivered = [power_nonce(s1) for _ in range(3)]
+        with monkeypatch.context() as m:
+            m.setattr(os, call, _fail_with_eio)
+            with pytest.raises(OSError):
+                s1.request_ticket("sensor")
+        assert_no_ticket_reissued(Setup(tmp_path), 2, delivered)  # restart from the journal
+
+    @pytest.mark.parametrize("call", ["fsync", "write"])
+    def test_failed_append_in_handle_attest_never_reissues(self, tmp_path, monkeypatch, call):
+        s1 = Setup(tmp_path)
+        wake_sensor(s1)
+        delivered = [power_nonce(s1) for _ in range(3)]
+        s1.isv.registry.mark_asleep("sensor")
+        s1.clock.advance(1_000)  # the next attestation moves co_pc to the clock
+        s1.push_sync("sensor", 2)
+        challenge = last_attest_challenge(s1)
+        sent = len(s1.sent)
+        with monkeypatch.context() as m:
+            m.setattr(os, call, _fail_with_eio)
+            with pytest.raises(OSError):
+                s1.isv.sync.handle_attest(s1.report_frame("sensor", challenge), "dev", s1.send)
+        assert len(s1.sent) == sent  # no sync response left
+        assert not s1.record("sensor").awake
+        assert_no_ticket_reissued(Setup(tmp_path), 3, delivered)
+
+    def test_next_change_after_a_failed_append_rewrites_the_journal(self, tmp_path, monkeypatch):
+        s1 = Setup(tmp_path)
+        wake_sensor(s1)
+        with monkeypatch.context() as m:
+            m.setattr(os, "fsync", _fail_with_eio)
+            with pytest.raises(OSError):
+                power_nonce(s1)
+        nonce = power_nonce(s1)
+        assert Setup(tmp_path).record("sensor").co_pc == nonce
+
+    def test_torn_last_line_is_ignored(self, tmp_path):
+        s1 = Setup(tmp_path)
+        wake_sensor(s1)
+        nonce = power_nonce(s1)
+        path = tmp_path / "isv-state.json"
+        with open(path, "ab") as fh:
+            fh.write(f"{s1.mat('sensor').id_dev} 9 {nonce + 500}".encode())  # no newline
+        s2 = Setup(tmp_path)
+        assert s2.record("sensor").co_pc == nonce
+        assert path.read_bytes().endswith(b"\n")  # compacted at start-up
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"",
+            b'{"devices": {"102": {"co_pc": 7, "co_sync": 1}}}',  # the former snapshot format
+            b"kesic-isv-counters 2\n102 1 7\n",
+            b"kesic-isv-counters 1\n102 1 x\n102 1 7\n",
+            b"kesic-isv-counters 1\n102 1\n",
+            b"kesic-isv-counters 1\n102  1 7\n",
+            b"kesic-isv-counters 1\n-102 1 7\n",
+            b"\x00\xff garbage\n",
+            b"kesic-isv-counters 1\n102 1 " + b"9" * 5000 + b"\n",
+        ],
+        ids=[
+            "empty", "json-snapshot", "other-version", "non-numeric", "short-record",
+            "double-space", "signed-id", "binary", "5000-digits",
+        ],
+    )
+    def test_malformed_journal_is_a_named_error(self, tmp_path, content):
+        (tmp_path / "isv-state.json").write_bytes(content)
+        with pytest.raises(CorruptState):
+            Setup(tmp_path)
 
 
 class TestTicketApi:
