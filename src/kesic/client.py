@@ -180,6 +180,8 @@ class ClientSession:
             timeout=self.config.udp_timeout,
         )
         resp = wire.parse_json(data, "KDC reply")
+        if not isinstance(resp, dict):
+            raise FieldFormatError("KDC reply must be a JSON object")
         if "error" in resp:
             raise error_by_name(resp["error"], resp.get("detail", ""))
         return resp
@@ -260,6 +262,8 @@ class ClientSession:
             body,
         )
         obj = wire.parse_json(raw, "ticket API reply")
+        if not isinstance(obj, dict):
+            raise FieldFormatError("ticket API reply must be a JSON object")
         if status != 200:
             if status == 401:
                 # The server rejected our Kerberos material; whatever we

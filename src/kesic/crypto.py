@@ -102,10 +102,6 @@ class SymmetricKey:
         return self._raw.hex()
 
     @classmethod
-    def from_hex(cls, text: str, role: KeyRole) -> "SymmetricKey":
-        return cls(bytes.fromhex(text), role)
-
-    @classmethod
     def generate(cls, rng: Rng, role: KeyRole) -> "SymmetricKey":
         return cls(rng.key_bytes(), role)
 

@@ -27,6 +27,9 @@ logger = logging.getLogger(__name__)
 
 _RECV_SIZE = 65535
 MAX_BODY_BYTES = 64 * 1024  # a ticket request is a few hundred bytes
+# A kept-alive ticket API connection that carries no request for this long
+# is closed; so is one whose request stalls for this long.
+HTTP_IDLE_TIMEOUT_S = 10.0
 
 
 def _bind_udp(port: int) -> socket.socket:
@@ -76,6 +79,11 @@ def kdc_main(argv: list[str] | None = None) -> int:
 
 
 class _TicketHttpHandler(http.server.BaseHTTPRequestHandler):
+    # Keep-alive, with headers and body written without waiting on Nagle.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = HTTP_IDLE_TIMEOUT_S
+
     def _dispatch(self, method: str) -> None:
         length = self.headers.get("Content-Length", "0" if method == "GET" else None)
         if length is None or not (length.isascii() and length.isdigit()):
@@ -85,16 +93,26 @@ class _TicketHttpHandler(http.server.BaseHTTPRequestHandler):
             self._refuse(413, f"request bodies are limited to {MAX_BODY_BYTES} bytes")
             return
         body = self.rfile.read(int(length))
-        status, headers, payload = self.server.isv.tickets.handle_http(
-            method, self.path, dict(self.headers.items()), body
-        )
+        try:
+            status, headers, payload = self.server.isv.tickets.handle_http(
+                method, self.path, dict(self.headers.items()), body
+            )
+        except Exception:
+            # Last resort, as in _udp_pump: a handler bug answers this
+            # request and closes its connection, and the server keeps serving.
+            logger.exception("ticket API failed on %s %s", method, self.path)
+            self._close_with(500, {"error": "InternalError"})
+            return
         self._reply(status, headers, payload)
 
     def _refuse(self, status: int, detail: str) -> None:
         # The body stays unread, so this connection cannot carry another request.
-        self.close_connection = True
-        payload = json.dumps({"error": "FieldFormatError", "detail": detail}, sort_keys=True)
-        self._reply(status, {"Content-Type": "application/json"}, payload.encode())
+        self._close_with(status, {"error": "FieldFormatError", "detail": detail})
+
+    def _close_with(self, status: int, obj: dict) -> None:
+        # send_header turns "Connection: close" into close_connection.
+        payload = json.dumps(obj, sort_keys=True).encode()
+        self._reply(status, {"Content-Type": "application/json", "Connection": "close"}, payload)
 
     def _reply(self, status: int, headers: dict[str, str], payload: bytes) -> None:
         self.send_response(status)
@@ -116,6 +134,7 @@ class _TicketHttpHandler(http.server.BaseHTTPRequestHandler):
 
 class _TicketHttpServer(http.server.ThreadingHTTPServer):
     daemon_threads = True
+    block_on_close = False  # closing must not wait out kept-alive connections
     isv: Isv
 
 

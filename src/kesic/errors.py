@@ -34,7 +34,6 @@ __all__ = [
     "DeviceRejected",
     "Timeout",
     "ScriptError",
-    "ExpectationFailed",
     "PortInUse",
     "StartupTimeout",
     "error_name",
@@ -157,10 +156,6 @@ class Timeout(KesicError):
 
 
 class ScriptError(KesicError):
-    pass
-
-
-class ExpectationFailed(KesicError):
     pass
 
 

@@ -112,13 +112,14 @@ class TestServiceTicket:
             session.get_iot_ticket("bulb")
 
 
-HOSTILE_REPLIES = [b"[" * 60000, b"\xff"]
+HOSTILE_REPLIES = [b"[" * 60000, b"\xff", b"5", b"[]"]
+HOSTILE_IDS = ["nested", "non-utf8", "number", "array"]
 
 
 class TestHostileReplies:
     """A malformed server reply is a FieldFormatError, not a parser crash."""
 
-    @pytest.mark.parametrize("reply", HOSTILE_REPLIES, ids=["nested", "non-utf8"])
+    @pytest.mark.parametrize("reply", HOSTILE_REPLIES, ids=HOSTILE_IDS)
     def test_kdc_reply(self, world, tmp_path, monkeypatch, reply):
         session = cached_session(world, "alice", tmp_path)
         monkeypatch.setattr(session.network, "udp_call", lambda *args, **kwargs: reply)
@@ -126,7 +127,7 @@ class TestHostileReplies:
             session.login(password_of(world, "alice"))
 
     @pytest.mark.parametrize("status", [200, 401])
-    @pytest.mark.parametrize("reply", HOSTILE_REPLIES, ids=["nested", "non-utf8"])
+    @pytest.mark.parametrize("reply", HOSTILE_REPLIES, ids=HOSTILE_IDS)
     def test_ticket_api_reply(self, world, tmp_path, monkeypatch, reply, status):
         session = cached_session(world, "alice", tmp_path)
         session.login(password_of(world, "alice"))

@@ -25,15 +25,30 @@ def ticket_server(cold_world):
     assert not thread.is_alive()
 
 
+def send_head(sock, head: str) -> tuple[int, dict]:
+    """Send a request head (and no body); read one reply by its Content-Length."""
+    sock.sendall(head.encode("latin-1") + b"\r\n")
+    reader = sock.makefile("rb")
+    status = int(reader.readline().split()[1])
+    length = 0
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    return status, json.loads(reader.read(length))
+
+
 def http_exchange(addr, head: str) -> tuple[int, dict]:
-    """Send a request head (and no body); return the status and JSON reply."""
     with socket.create_connection(addr, timeout=5) as sock:
-        sock.sendall(head.encode("latin-1") + b"\r\n")
-        reply = b""
-        while chunk := sock.recv(65536):  # the server closes after one reply
-            reply += chunk
-    head_bytes, _, body = reply.partition(b"\r\n\r\n")
-    return int(head_bytes.split()[1]), json.loads(body)
+        return send_head(sock, head)
+
+
+def refused_exchange(addr, head: str) -> tuple[int, dict]:
+    """Like http_exchange, for a reply after which the server must hang up."""
+    with socket.create_connection(addr, timeout=5) as sock:
+        reply = send_head(sock, head)
+        assert sock.recv(1) == b"", "a refused request must close its connection"
+    return reply
 
 
 @pytest.mark.parametrize(
@@ -43,7 +58,7 @@ def http_exchange(addr, head: str) -> tuple[int, dict]:
     ids=["missing", "negative", "non-integer", "blank", "signed", "non-ascii-digit"],
 )
 def test_malformed_content_length_is_400(ticket_server, length_header):
-    status, obj = http_exchange(ticket_server, f"POST /ticket HTTP/1.1\r\nHost: isv\r\n{length_header}")
+    status, obj = refused_exchange(ticket_server, f"POST /ticket HTTP/1.1\r\nHost: isv\r\n{length_header}")
     assert (status, obj["error"]) == (400, "FieldFormatError")
 
 
@@ -55,7 +70,7 @@ def test_malformed_content_length_is_400(ticket_server, length_header):
 def test_oversized_content_length_is_413_without_reading_the_body(ticket_server, length):
     # No body follows: a server that tried to read it would hang until the timeout.
     head = f"POST /ticket HTTP/1.1\r\nHost: isv\r\nContent-Length: {length}\r\n"
-    status, obj = http_exchange(ticket_server, head)
+    status, obj = refused_exchange(ticket_server, head)
     assert (status, obj["error"]) == (413, "FieldFormatError")
 
 
@@ -66,6 +81,19 @@ def test_well_framed_requests_still_reach_the_ticket_api(ticket_server):
         ticket_server, "POST /ticket HTTP/1.1\r\nHost: isv\r\nContent-Length: 0\r\n"
     )
     assert (status, obj["error"]) == (401, "KerberosAuthFailure")
+
+
+def test_handler_failure_is_a_500_and_the_server_keeps_serving(ticket_server, cold_world, monkeypatch, caplog):
+    def broken(*args):
+        raise RuntimeError("handler bug")
+
+    head = "GET /healthz HTTP/1.1\r\nHost: isv\r\n"
+    with monkeypatch.context() as patch:
+        patch.setattr(cold_world.isv.tickets, "handle_http", broken)
+        with caplog.at_level(logging.ERROR, logger="kesic.daemon"):
+            assert refused_exchange(ticket_server, head) == (500, {"error": "InternalError"})
+    assert any(r.exc_info and r.exc_info[0] is RuntimeError for r in caplog.records)
+    assert http_exchange(ticket_server, head) == (200, {"ok": True})
 
 
 def test_udp_pump_keeps_serving_after_a_handler_fails(caplog):
