@@ -39,6 +39,7 @@ from .rng import Rng
 
 DEFAULT_ISV_ID = "isv"
 UDP_RETRIES = 3
+UDP_TIMEOUT_S = 2.0
 
 # Device reply reasons (the token after "ERR ") -> outcome verdicts.
 _REPLY_VERDICTS = {
@@ -62,7 +63,6 @@ class ClientConfig:
     kdc_addr: object
     isv_url: str
     device_addrs: dict[str, object]
-    udp_timeout: float = 2.0
 
     @classmethod
     def from_json_obj(
@@ -177,7 +177,7 @@ class ClientSession:
         data = self.network.udp_call(
             self.config.kdc_addr,
             json.dumps(request, sort_keys=True).encode("utf-8"),
-            timeout=self.config.udp_timeout,
+            timeout=UDP_TIMEOUT_S,
         )
         resp = wire.parse_json(data, "KDC reply")
         if not isinstance(resp, dict):
@@ -325,7 +325,7 @@ class ClientSession:
                 co_pc=entry["nonce"],
                 ticket=entry["ticket"],
             )
-            data = self.network.udp_call(addr, frame.encode(), timeout=self.config.udp_timeout)
+            data = self.network.udp_call(addr, frame.encode(), timeout=UDP_TIMEOUT_S)
 
         outcome = self._parse_reply(data)
         if entry["dtype"] == GENERAL and outcome.verdict == "ticket-expired":
@@ -350,9 +350,7 @@ class ClientSession:
                 authenticator=crypto.service_authenticator_g(key, ts).hex,
             )
             try:
-                return self.network.udp_call(
-                    addr, frame.encode(), timeout=self.config.udp_timeout
-                )
+                return self.network.udp_call(addr, frame.encode(), timeout=UDP_TIMEOUT_S)
             except Timeout as exc:
                 last = exc
         assert last is not None

@@ -16,7 +16,7 @@ import socket
 import sys
 import threading
 
-from .clock import SystemClock, VirtualClock
+from .clock import SystemClock
 from .device import DEVICE_CLASSES, DeviceProfile
 from .isv import Isv, IsvConfig
 from .kdc import Kdc
@@ -137,6 +137,14 @@ class _TicketHttpServer(http.server.ThreadingHTTPServer):
     block_on_close = False  # closing must not wait out kept-alive connections
     isv: Isv
 
+    def handle_error(self, request, client_address) -> None:
+        # socketserver's default prints a traceback to stderr, which the live
+        # harness reads only after the daemon exits.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            logger.debug("ticket API client %s went away", client_address, exc_info=True)
+        else:
+            logger.exception("ticket API connection from %s failed", client_address)
+
 
 def _udp_pump(sock: socket.socket, handler, tick=None) -> None:
     """recvfrom loop feeding a (data, src, send) handler.
@@ -223,13 +231,6 @@ def device_main(argv: list[str] | None = None) -> int:
         help="server attestation port (default: sync port + 1)",
     )
     parser.add_argument("--memory-image", required=True, help="initial memory contents")
-    parser.add_argument(
-        "--virtual-clock",
-        type=int,
-        default=None,
-        metavar="EPOCH",
-        help="run on a frozen virtual clock starting at EPOCH",
-    )
     parser.add_argument("--state", default=None, help="sync-counter persistence JSON")
     args = parser.parse_args(argv)
 
@@ -247,8 +248,7 @@ def device_main(argv: list[str] | None = None) -> int:
         isv_attest_addr=attest_addr,
         state_path=args.state,
     )
-    clock = VirtualClock(args.virtual_clock) if args.virtual_clock is not None else SystemClock()
-    device = DEVICE_CLASSES[profile.dtype](profile, clock)
+    device = DEVICE_CLASSES[profile.dtype](profile, SystemClock())
 
     sock = _bind_udp(args.port)
 
@@ -273,15 +273,13 @@ def device_main(argv: list[str] | None = None) -> int:
         return 1
 
     _announce_ready(f"device {profile.name} 127.0.0.1:{args.port}")
-    sock.settimeout(None)
     try:
-        while True:
-            data, src = sock.recvfrom(_RECV_SIZE)
-            device.handle_datagram(data, src, send)
+        _udp_pump(sock, device.handle_datagram)
     except KeyboardInterrupt:
         return 0
     finally:
         sock.close()
+    return 1  # the socket failed
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from ..clock import Clock
 from ..crypto import KeyRole, SymmetricKey
 from ..durable import atomic_write
 from ..errors import NotSynced, ReplayDetected
-from ..kdc import DEFAULT_CLOCK_SKEW, ReplayCache
+from ..kdc import ReplayCache
 
 __all__ = ["Verdict", "RotBase", "GeneralRot", "PowerRot"]
 
@@ -126,7 +126,7 @@ class GeneralRot(RotBase):
     instants, not nonces).
     """
 
-    def __init__(self, *args, freshness_window: int = DEFAULT_CLOCK_SKEW, **kwargs) -> None:
+    def __init__(self, *args, freshness_window: int, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._freshness_window_us = freshness_window * 1_000_000
         self._start_us = 0

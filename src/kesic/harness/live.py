@@ -3,8 +3,9 @@
 Spawns the KDC, the IoT server and one process per device with freshly
 provisioned config files in a scratch directory, waits for each daemon's
 ``READY`` line, and hands out :class:`ClientSession` objects wired to real
-sockets. Only client-driven scenario steps work here — the adversarial
-hooks and the virtual clock belong to the simulated fabric.
+sockets. Scenario steps run through the simulated runner's step loop; only
+the client-driven ops work here — the adversarial hooks, the virtual clock
+and device memory belong to the simulated fabric.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from typing import Optional
 import kesic
 
 from ..client import ClientConfig, ClientSession
-from ..errors import KesicError, PortInUse, ScriptError, StartupTimeout, error_name
+from ..errors import PortInUse, ScriptError, StartupTimeout
 from ..net import SocketNetwork
 from ..provision import Fleet, FleetSpec, provision
 from ..rng import Rng
+from .scenario import DEFAULT_FLEET, ScenarioRunner, step_op
 
 START_DEADLINE = 10.0
 # Topologies run_live_scenario starts before it gives up on PortInUse.
@@ -99,8 +101,6 @@ class LiveTopology:
         workdir: Optional[str] = None,
     ) -> None:
         if spec is None:
-            from .scenario import DEFAULT_FLEET
-
             spec = FleetSpec.from_dict(DEFAULT_FLEET)
         self.seed = seed
         self._own_dir = workdir is None
@@ -108,6 +108,7 @@ class LiveTopology:
         self.workdir = self._tmp.name if self._tmp else workdir
         self.fleet: Fleet = provision(spec, Rng(seed))
         self.procs: list[subprocess.Popen] = []
+        self._sessions: dict[str, ClientSession] = {}
         ports = free_ports(4 + len(self.fleet.devices))
         self.kdc_port, self.http_port, self.sync_port, self.attest_port = ports[:4]
         self.device_ports = dict(zip(self.fleet.devices, ports[4:]))
@@ -187,17 +188,6 @@ class LiveTopology:
             self._tmp.cleanup()
             self._tmp = None
 
-    def __enter__(self) -> "LiveTopology":
-        try:
-            self.start()
-        except BaseException:
-            self.stop()
-            raise
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
     # -- clients -----------------------------------------------------------
 
     def client_session(self, name: str, cache_path: Optional[str] = None) -> ClientSession:
@@ -210,6 +200,14 @@ class LiveTopology:
         if cache_path is None:
             cache_path = os.path.join(self.workdir, f"{name}.cache.json")
         return ClientSession(config, SocketNetwork(), cache_path=cache_path)
+
+    def client(self, name: str) -> ClientSession:
+        """The scenario session for ``name``, created on first use."""
+        if name not in self.fleet.clients:
+            raise ScriptError(f"unknown client {name!r}")
+        if name not in self._sessions:
+            self._sessions[name] = self.client_session(name)
+        return self._sessions[name]
 
 
 def _start_topology(spec: Optional[FleetSpec], seed: Optional[int]) -> LiveTopology:
@@ -229,88 +227,34 @@ def _start_topology(spec: Optional[FleetSpec], seed: Optional[int]) -> LiveTopol
                 raise
 
 
+class LiveScenarioRunner(ScenarioRunner):
+    """The scenario runner with real daemons in place of the simulated world."""
+
+    def __init__(self, script: dict, seed: Optional[int] = None) -> None:
+        super().__init__(script, seed)
+        self.report["mode"] = "live"
+
+    def _open_world(self, fleet: Optional[dict], seed: Optional[int]) -> LiveTopology:
+        # Refuse what needs the simulated fabric before any daemon is spawned.
+        for index, step in enumerate(self.script["steps"]):
+            op = step_op(index, step)
+            if op not in LIVE_OPS or step.get("image") == "current":
+                raise ScriptError(
+                    f"step {index}: op {op!r} needs the simulated fabric; live mode supports "
+                    f"{sorted(LIVE_OPS)}, attesting the reference image"
+                )
+        return _start_topology(FleetSpec.from_dict(fleet) if fleet is not None else None, seed)
+
+    def run(self) -> dict:
+        try:
+            for index, step in enumerate(self.script["steps"]):
+                self._run_step(index, step)
+        finally:
+            self.world.stop()
+        self.report["ok"] = not self.report["failures"]
+        return self.report
+
+
 def run_live_scenario(script: dict, seed: Optional[int] = None) -> dict:
     """Execute the client-driven subset of a scenario against real daemons."""
-    if not isinstance(script, dict) or not isinstance(script.get("steps"), list):
-        raise ScriptError("scenario must be an object with a 'steps' list")
-    for index, step in enumerate(script["steps"]):
-        op = step.get("op")
-        if op not in LIVE_OPS:
-            raise ScriptError(
-                f"step {index}: op {op!r} needs the simulated fabric; live mode supports {sorted(LIVE_OPS)}"
-            )
-
-    spec = FleetSpec.from_dict(script["fleet"]) if script.get("fleet") else None
-    report: dict = {
-        "name": script.get("name", "unnamed"),
-        "mode": "live",
-        "seed": seed,
-        "ok": True,
-        "failures": [],
-        "steps": [],
-    }
-
-    def fail(index: int, op: str, message: str) -> None:
-        report["failures"].append({"step": index, "op": op, "message": message})
-
-    topo = _start_topology(spec, seed)
-    try:
-        sessions: dict[str, ClientSession] = {}
-
-        def session(name: str) -> ClientSession:
-            if name not in sessions:
-                sessions[name] = topo.client_session(name)
-            return sessions[name]
-
-        for index, step in enumerate(script["steps"]):
-            step = dict(step)
-            op = step.pop("op")
-            expect_error = step.pop("expect_error", None)
-            record: dict = {"n": index, "op": op}
-            try:
-                if op == "note":
-                    record["result"] = step.get("text", "")
-                elif op == "login":
-                    client = step["client"]
-                    password = step.get("password")
-                    if password is None:
-                        password = topo.fleet.clients[client].spec.password
-                    session(client).login(password)
-                elif op == "get_ticket":
-                    entry = session(step["client"]).get_iot_ticket(step["device"])
-                    record["result"] = {"dtype": entry["dtype"], "nonce": entry["nonce"]}
-                elif op == "call":
-                    outcome = session(step["client"]).call_device(
-                        step["device"], step["cmd"], force=step.get("force", False)
-                    )
-                    record["result"] = {
-                        "verdict": outcome.verdict,
-                        "payload": outcome.payload.decode("ascii", "replace"),
-                    }
-                    want = step.get("expect_verdict")
-                    if want is not None and outcome.verdict != want:
-                        fail(index, op, f"expected verdict {want}, got {outcome.verdict}")
-                elif op == "attest":
-                    expected = bytes(topo.fleet.devices[step["device"]].memory)
-                    verdict = session(step["client"]).verify_attestation(step["device"], expected)
-                    record["result"] = {"verdict": verdict}
-                    want = step.get("expect")
-                    if want is not None and verdict != want:
-                        fail(index, op, f"expected {want}, got {verdict}")
-            except KesicError as exc:
-                name = error_name(exc)
-                record["error"] = name
-                record["detail"] = str(exc)
-                if expect_error is None:
-                    fail(index, op, f"unexpected {name}: {exc}")
-                elif expect_error != name:
-                    fail(index, op, f"expected {expect_error}, got {name}: {exc}")
-            else:
-                if expect_error is not None and "error" not in record:
-                    fail(index, op, f"expected {expect_error}, but the step succeeded")
-            report["steps"].append(record)
-    finally:
-        topo.stop()
-
-    report["ok"] = not report["failures"]
-    return report
+    return LiveScenarioRunner(script, seed).run()

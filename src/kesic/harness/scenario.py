@@ -180,8 +180,20 @@ def _http_endpoint(tickets: TicketManager, data: bytes) -> bytes:
     return sim_http_response(status, headers, body)
 
 
+def step_op(index: int, step: object) -> str:
+    """The ``op`` of a script step, or a ScriptError for a malformed step."""
+    if not isinstance(step, dict) or "op" not in step:
+        raise ScriptError(f"step {index} is not an object with an 'op'")
+    return step["op"]
+
+
 class ScenarioRunner:
-    """Executes one script against a fresh world and accumulates a report."""
+    """Executes one script against a fresh world and accumulates a report.
+
+    ``world`` is whatever :meth:`_open_world` returns; the client ops need
+    only its ``fleet`` and ``client(name)``, so a live topology serves them
+    too (see ``live.LiveScenarioRunner``).
+    """
 
     def __init__(self, script: dict, seed: Optional[int] = None) -> None:
         if not isinstance(script, dict) or "steps" not in script:
@@ -190,7 +202,6 @@ class ScenarioRunner:
             raise ScriptError("'steps' must be a list")
         self.script = script
         seed = script.get("seed", seed) if seed is None else seed
-        self.world = World.build(script.get("fleet"), seed)
         self.report: dict = {
             "name": script.get("name", "unnamed"),
             "seed": seed,
@@ -198,16 +209,20 @@ class ScenarioRunner:
             "failures": [],
             "steps": [],
         }
-        if script.get("autoboot", True):
-            self.world.boot_all()
+        self.world = self._open_world(script.get("fleet"), seed)
+
+    def _open_world(self, fleet: Optional[dict], seed: Optional[int]) -> World:
+        world = World.build(fleet, seed)
+        if self.script.get("autoboot", True):
+            world.boot_all()
+        return world
 
     # Each _op_* method returns a JSON-safe result for the step record.
 
     def run(self) -> dict:
         for index, step in enumerate(self.script["steps"]):
-            if not isinstance(step, dict) or "op" not in step:
-                raise ScriptError(f"step {index} is not an object with an 'op'")
-            self._run_step(index, dict(step))
+            self._run_step(index, step)
+            self.world._harvest_runtime_secrets()
         self.report["events"] = self.world.all_events()
         self.report["transcript"] = self.world.transport.transcript
         self.report["ok"] = not self.report["failures"]
@@ -216,8 +231,10 @@ class ScenarioRunner:
     def _fail(self, index: int, op: str, message: str) -> None:
         self.report["failures"].append({"step": index, "op": op, "message": message})
 
-    def _run_step(self, index: int, step: dict) -> None:
-        op = step.pop("op")
+    def _run_step(self, index: int, step: object) -> None:
+        op = step_op(index, step)
+        step = dict(step)
+        del step["op"]
         expect_error = step.pop("expect_error", None)
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
@@ -246,7 +263,6 @@ class ScenarioRunner:
                 record["result"] = result
             if expect_error is not None:
                 self._fail(index, op, f"expected {expect_error}, but the step succeeded")
-        self.world._harvest_runtime_secrets()
         self.report["steps"].append(record)
 
     # --- world mutation ---------------------------------------------------------
@@ -318,6 +334,8 @@ class ScenarioRunner:
         return result
 
     def _op_attest(self, client: str, device: str, image: str = "reference", expect: Optional[str] = None):
+        if device not in self.world.fleet.devices:
+            raise ScriptError(f"unknown device {device!r}")
         if image == "reference":
             expected = self.world.fleet.devices[device].memory
         elif image == "current":

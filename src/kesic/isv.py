@@ -41,16 +41,13 @@ from .clock import Clock, SystemClock
 from .crypto import KeyRole, SymmetricKey
 from .durable import atomic_write
 from .errors import (
-    AuthFailure,
     CorruptState,
-    CounterOutOfRange,
     DeviceAsleep,
     DeviceUnhealthy,
     FieldFormatError,
     KerberosAuthFailure,
     KesicError,
     NotAuthorized,
-    ReplayDetected,
     UnknownDevice,
     WireError,
     error_name,
@@ -213,7 +210,7 @@ class SyncManager:
         clock: Clock,
         rng: Rng,
         events: list,
-        attest_timeout: int = DEFAULT_ATTEST_TIMEOUT,
+        attest_timeout: int,
     ) -> None:
         self.registry = registry
         self.id_isv = id_isv
@@ -348,8 +345,8 @@ class TicketManager:
         clock: Clock,
         rng: Rng,
         events: list,
-        iot_ticket_lifetime: int = DEFAULT_IOT_TICKET_LIFETIME,
-        clock_skew: int = DEFAULT_CLOCK_SKEW,
+        iot_ticket_lifetime: int,
+        clock_skew: int,
     ) -> None:
         self.registry = registry
         self.kerberos_id = kerberos_id

@@ -3,6 +3,7 @@
 import json
 import logging
 import socket
+import struct
 import threading
 
 import pytest
@@ -120,3 +121,22 @@ def test_udp_pump_keeps_serving_after_a_handler_fails(caplog):
         client.close()
         pump.join(timeout=5)
     assert not pump.is_alive()
+
+
+def test_a_client_hanging_up_before_its_reply_leaves_no_traceback(ticket_server, monkeypatch, capfd, caplog):
+    done = threading.Event()
+    real_shutdown_request = daemon._TicketHttpServer.shutdown_request
+
+    def shutdown_request(self, request):
+        real_shutdown_request(self, request)
+        done.set()
+
+    monkeypatch.setattr(daemon._TicketHttpServer, "shutdown_request", shutdown_request)
+    with caplog.at_level(logging.DEBUG, logger="kesic.daemon"):
+        with socket.create_connection(ticket_server, timeout=5) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: isv\r\n\r\n")
+            # Reset on close, so the server's reply meets a dead connection.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        assert done.wait(timeout=5)
+    assert "Traceback" not in capfd.readouterr().err
+    assert any(r.exc_info and issubclass(r.exc_info[0], ConnectionError) for r in caplog.records)

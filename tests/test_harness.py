@@ -437,3 +437,64 @@ class TestLiveTopology:
         assert len(started) == live.START_ATTEMPTS
         assert len({id(topo) for topo in started}) == live.START_ATTEMPTS
         assert stopped == started
+
+
+@pytest.fixture
+def stopped_topologies(monkeypatch):
+    """Record every live topology started; after the test, each is stopped."""
+    started, stopped = [], []
+    real_start, real_stop = LiveTopology.start, LiveTopology.stop
+
+    def start(topo):
+        started.append(topo)
+        real_start(topo)
+
+    def stop(topo):
+        procs = list(topo.procs)
+        real_stop(topo)
+        assert all(proc.poll() is not None for proc in procs)
+        stopped.append(topo)
+
+    monkeypatch.setattr(LiveTopology, "start", start)
+    monkeypatch.setattr(LiveTopology, "stop", stop)
+    yield started
+    assert stopped == started
+
+
+def _call_bulb(**extra) -> dict:
+    return {"op": "call", "client": "alice", "device": "bulb", "cmd": "LED_ON", **extra}
+
+
+PARITY_SCRIPTS = {
+    "step-not-an-object": [{"op": "login", "client": "alice"}, "login"],
+    "login-without-client": [{"op": "login"}],
+    "misspelt-key": [{"op": "login", "client": "alice"}, _call_bulb(expect_verdic="accept")],
+    "wrong-verdict": [{"op": "login", "client": "alice"}, _call_bulb(expect_verdict="replay")],
+    "attest-unknown-device": [{"op": "login", "client": "alice"}, {"op": "attest", "client": "alice", "device": "ghost"}],
+}
+
+
+def _outcome(live_mode: bool, steps: list) -> object:
+    """The exception class a script raises, or (op, error, verdict) per step."""
+    script = {"fleet": TINY_FLEET, "steps": copy.deepcopy(steps)}
+    try:
+        report = run_scenario(script, seed=1, live=live_mode)
+    except Exception as exc:  # the class is what both modes must share
+        return type(exc)
+    return [(r["op"], r.get("error"), r.get("result", {}).get("verdict")) for r in report["steps"]]
+
+
+class TestSimLiveParity:
+    @pytest.mark.parametrize("steps", PARITY_SCRIPTS.values(), ids=PARITY_SCRIPTS.keys())
+    def test_live_mode_runs_the_simulated_step_runner(self, steps, stopped_topologies):
+        sim = _outcome(False, steps)
+        assert sim == ScriptError or any(error for _, error, _ in sim)
+        assert _outcome(True, steps) == sim
+
+    def test_live_cli_reports_a_script_error(self, tmp_path, capsys, stopped_topologies):
+        path = tmp_path / "no-client.json"
+        path.write_text(json.dumps({"fleet": TINY_FLEET, "steps": PARITY_SCRIPTS["login-without-client"]}))
+        assert simcli.main(["run", str(path), "--live"]) == 2
+        err = capsys.readouterr().err
+        assert "error: ScriptError" in err and "Traceback" not in err
+        assert stopped_topologies
