@@ -34,7 +34,7 @@ from .errors import (
     Timeout,
     error_by_name,
 )
-from .net import Network
+from .net import Network, header
 from .rng import Rng
 
 DEFAULT_ISV_ID = "isv"
@@ -46,6 +46,8 @@ _REPLY_VERDICTS = {
     **{token.removeprefix(b"ERR "): verdict.value for verdict, token in VERDICT_TOKENS.items()},
     NOT_SYNCED_TOKEN.removeprefix(b"ERR "): "not-synced",
 }
+# The ticket API's X-Nonce-Kind reply header -> the device type it implies.
+_NONCE_KIND_DTYPES = {"lifetime": GENERAL, "counter": POWER}
 
 
 @dataclasses.dataclass
@@ -124,8 +126,8 @@ class CredentialCache:
             return
         blob = json.dumps(
             {"tgt": self.tgt, "services": self.services, "devices": self.devices},
-            indent=2,
             sort_keys=True,
+            separators=(",", ":"),
         )
         # Not fsync'd: a cache lost to a crash costs only a fresh login.
         atomic_write(self.path, blob.encode("utf-8"), durable=False)
@@ -222,7 +224,6 @@ class ClientSession:
             return entry["st"], SymmetricKey(base64.b64decode(entry["k"]), KeyRole.SESSION)
         if entry is not None:
             del self.cache.services[DEFAULT_ISV_ID]
-            self.cache.save()
 
         tgt = self.cache.tgt
         if tgt is None:
@@ -241,13 +242,22 @@ class ClientSession:
             raise AuthFailure("service ticket names an unexpected service")
         entry = {"st": payload["st"], "k": payload["k"], "expires": payload["lf4"]}
         self.cache.services[DEFAULT_ISV_ID] = entry
-        self.cache.save()
         return entry["st"], SymmetricKey(base64.b64decode(entry["k"]), KeyRole.SESSION)
 
     # -- Ticket API -------------------------------------------------------
 
     def get_iot_ticket(self, device_name: str) -> dict:
-        """Fetch a device ticket from the IoT server and cache it."""
+        """Fetch a device ticket from the IoT server and cache it.
+
+        The cache is written once, on the way out, so a service ticket
+        from the TGS step is kept even when the HTTP step fails.
+        """
+        try:
+            return self._fetch_iot_ticket(device_name)
+        finally:
+            self.cache.save()
+
+    def _fetch_iot_ticket(self, device_name: str) -> dict:
         st, k_c_isv = self._ensure_service_ticket()
         authn = kdc.make_authenticator(
             k_c_isv, self.config.name, self.config.ad_c, self.clock.now_us(), self.rng
@@ -269,21 +279,22 @@ class ClientSession:
                 # The server rejected our Kerberos material; whatever we
                 # cached is not going to start working again on its own.
                 self.cache.services.pop(DEFAULT_ISV_ID, None)
-                self.cache.save()
             raise error_by_name(obj.get("error", "KesicError"), obj.get("detail", ""))
+        kind = header(headers, "X-Nonce-Kind")
+        dtype = _NONCE_KIND_DTYPES.get(kind)
+        if dtype is None:
+            raise FieldFormatError(f"ticket API reply has X-Nonce-Kind {kind!r}")
         payload = crypto.open_json(k_c_isv, obj["sealed"])
         resp = wire.TicketResponseJson.from_json(json.dumps(payload))
-        kind = {k.lower(): v for k, v in headers.items()}.get("x-nonce-kind", "lifetime")
         entry = {
             "id_dev": resp.device_id,
-            "dtype": GENERAL if kind == "lifetime" else POWER,
+            "dtype": dtype,
             "ticket": resp.ticket,
             "session_key": resp.session_key,
             "nonce": resp.nonce,
             "acquired": resp.timestamp,
         }
         self.cache.devices[device_name] = entry
-        self.cache.save()
         return entry
 
     # -- Device exchanges -------------------------------------------------

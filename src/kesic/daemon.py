@@ -9,24 +9,26 @@ request/response except the ticket API, which is plain HTTP.
 from __future__ import annotations
 
 import argparse
-import http.server
+import http
 import json
 import logging
 import socket
+import socketserver
 import sys
 import threading
+import time
 
 from .clock import SystemClock
 from .device import DEVICE_CLASSES, DeviceProfile
+from .errors import FieldFormatError
 from .isv import Isv, IsvConfig
 from .kdc import Kdc
-from .net import parse_hostport
+from .net import MAX_BODY_BYTES, body_length, parse_hostport, parse_request_line, read_head, wants_close
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
 
 _RECV_SIZE = 65535
-MAX_BODY_BYTES = 64 * 1024  # a ticket request is a few hundred bytes
 # A kept-alive ticket API connection that carries no request for this long
 # is closed; so is one whose request stalls for this long.
 HTTP_IDLE_TIMEOUT_S = 10.0
@@ -78,61 +80,78 @@ def kdc_main(argv: list[str] | None = None) -> int:
 # --- IoT server ---------------------------------------------------------------
 
 
-class _TicketHttpHandler(http.server.BaseHTTPRequestHandler):
-    # Keep-alive, with headers and body written without waiting on Nagle.
-    protocol_version = "HTTP/1.1"
+_REASONS = {status.value: status.phrase for status in http.HTTPStatus}
+
+
+class _TicketHttpHandler(socketserver.StreamRequestHandler):
+    """Serves ticket API requests on one connection, kept alive until the
+    client closes it, asks to, speaks HTTP/1.0, or idles past the timeout."""
+
+    # Each reply leaves in one write; Nagle must not hold it back either.
     disable_nagle_algorithm = True
     timeout = HTTP_IDLE_TIMEOUT_S
 
-    def _dispatch(self, method: str) -> None:
-        length = self.headers.get("Content-Length", "0" if method == "GET" else None)
-        if length is None or not (length.isascii() and length.isdigit()):
-            self._refuse(400, f"Content-Length must be a decimal byte count, got {length!r}")
-            return
-        if len(length) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
-            self._refuse(413, f"request bodies are limited to {MAX_BODY_BYTES} bytes")
-            return
-        body = self.rfile.read(int(length))
+    def handle(self) -> None:
+        try:
+            while self._serve_one():
+                pass
+        except TimeoutError:
+            pass  # idle, or a request stalled: hang up
+
+    def _serve_one(self) -> bool:
+        """Read and answer one request; False when the connection must close."""
+        try:
+            head = read_head(self.rfile)
+            if head is None:
+                return False
+            method, target, version = parse_request_line(head.start)
+            length = body_length(head.headers)
+        except FieldFormatError as exc:
+            return self._refuse(400, str(exc))
+        if method not in ("GET", "POST"):
+            return self._refuse(501, f"method {method} is not served")
+        if length is None:
+            if method != "GET":
+                return self._refuse(400, "a POST needs a decimal Content-Length")
+            length = 0
+        if length > MAX_BODY_BYTES:
+            return self._refuse(413, f"request bodies are limited to {MAX_BODY_BYTES} bytes")
+        body = self.rfile.read(length)
+        if len(body) != length:
+            return False  # the client hung up inside the body
         try:
             status, headers, payload = self.server.isv.tickets.handle_http(
-                method, self.path, dict(self.headers.items()), body
+                method, target, head.headers, body
             )
         except Exception:
             # Last resort, as in _udp_pump: a handler bug answers this
             # request and closes its connection, and the server keeps serving.
-            logger.exception("ticket API failed on %s %s", method, self.path)
-            self._close_with(500, {"error": "InternalError"})
-            return
-        self._reply(status, headers, payload)
+            logger.exception("ticket API failed on %s %s", method, target)
+            return self._close_with(500, {"error": "InternalError"})
+        keep = version == "HTTP/1.1" and not wants_close(head.headers)
+        return self._reply(status, headers if keep else {**headers, "Connection": "close"}, payload)
 
-    def _refuse(self, status: int, detail: str) -> None:
+    def _refuse(self, status: int, detail: str) -> bool:
         # The body stays unread, so this connection cannot carry another request.
-        self._close_with(status, {"error": "FieldFormatError", "detail": detail})
+        return self._close_with(status, {"error": "FieldFormatError", "detail": detail})
 
-    def _close_with(self, status: int, obj: dict) -> None:
-        # send_header turns "Connection: close" into close_connection.
+    def _close_with(self, status: int, obj: dict) -> bool:
         payload = json.dumps(obj, sort_keys=True).encode()
-        self._reply(status, {"Content-Type": "application/json", "Connection": "close"}, payload)
+        return self._reply(status, {"Content-Type": "application/json", "Connection": "close"}, payload)
 
-    def _reply(self, status: int, headers: dict[str, str], payload: bytes) -> None:
-        self.send_response(status)
-        for key, value in headers.items():
-            self.send_header(key, value)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def log_message(self, fmt: str, *args) -> None:
-        pass  # quiet; the audit trail lives in isv.events
+    def _reply(self, status: int, headers: dict[str, str], payload: bytes) -> bool:
+        """Write head and body at once; True while the connection stays open."""
+        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}"]
+        lines += [f"{key}: {value}" for key, value in headers.items()]
+        lines.append(f"Content-Length: {len(payload)}")
+        lines.append(time.strftime("Date: %a, %d %b %Y %H:%M:%S GMT", time.gmtime()))
+        lines.append("\r\n")
+        self.wfile.write("\r\n".join(lines).encode("latin-1") + payload)
+        return not wants_close(headers)
 
 
-class _TicketHttpServer(http.server.ThreadingHTTPServer):
+class _TicketHttpServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
     daemon_threads = True
     block_on_close = False  # closing must not wait out kept-alive connections
     isv: Isv

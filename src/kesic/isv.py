@@ -54,6 +54,7 @@ from .errors import (
 )
 from .device.profile import GENERAL
 from .kdc import DEFAULT_CLOCK_SKEW, ReplayCache, key_from_b64, verify_ap
+from .net import header
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
@@ -383,7 +384,7 @@ class TicketManager:
         return 200, out_headers, json.dumps({"sealed": response}, sort_keys=True).encode()
 
     def _authorization(self, headers: dict[str, str]) -> tuple[str, str]:
-        auth = next((v for k, v in headers.items() if k.lower() == "authorization"), None)
+        auth = header(headers, "Authorization")
         if not auth or not auth.startswith("KESIC "):
             raise KerberosAuthFailure("missing KESIC authorization token")
         try:

@@ -9,11 +9,12 @@ import stat
 import pytest
 
 from kesic import cli
-from kesic.client import ClientSession
+from kesic.client import ClientSession, CredentialCache
 from kesic.errors import (
     AuthFailure,
     DeviceRejected,
     FieldFormatError,
+    KerberosAuthFailure,
     NotAuthorized,
     TicketExpired,
     Timeout,
@@ -134,6 +135,94 @@ class TestHostileReplies:
         monkeypatch.setattr(session.network, "http_post", lambda *args: (status, {}, reply))
         with pytest.raises(FieldFormatError):
             session.get_iot_ticket("bulb")
+
+
+    @pytest.mark.parametrize(
+        "headers",
+        [{}, {"X-Nonce-Kind": "bogus"}, {"X-Nonce-Kind": ""}],
+        ids=["missing", "unknown", "empty"],
+    )
+    def test_ticket_api_nonce_kind(self, world, tmp_path, monkeypatch, headers):
+        session = cached_session(world, "alice", tmp_path)
+        session.login(password_of(world, "alice"))
+        real_post = session.network.http_post
+
+        def post(*args):
+            status, _, body = real_post(*args)
+            return status, headers, body
+
+        monkeypatch.setattr(session.network, "http_post", post)
+        with pytest.raises(FieldFormatError, match="X-Nonce-Kind"):
+            session.get_iot_ticket("sensor")
+        assert "sensor" not in session.cache.devices
+
+    def test_ticket_api_nonce_kind_is_read_without_case(self, world, tmp_path, monkeypatch):
+        session = cached_session(world, "alice", tmp_path)
+        session.login(password_of(world, "alice"))
+        real_post = session.network.http_post
+
+        def post(*args):
+            status, headers, body = real_post(*args)
+            return status, {k.lower(): v for k, v in headers.items()}, body
+
+        monkeypatch.setattr(session.network, "http_post", post)
+        assert session.get_iot_ticket("sensor")["dtype"] == "power"
+
+
+class TestCacheWrites:
+    def test_file_in_the_indented_layout_still_loads(self, tmp_path):
+        obj = {
+            "tgt": {"blob": "b", "k": "k", "lf2": 10, "ts": 1},
+            "services": {"isv": {"st": "s", "k": "k", "expires": 5}},
+            "devices": {"bulb": {"dtype": "general", "nonce": 7}},
+        }
+        path = tmp_path / "old.cache.json"
+        path.write_text(json.dumps(obj, indent=2, sort_keys=True))
+        cache = CredentialCache(str(path))
+        assert (cache.tgt, cache.services, cache.devices) == (obj["tgt"], obj["services"], obj["devices"])
+        cache.save()
+        assert json.loads(path.read_text()) == obj
+        assert "\n" not in path.read_text()
+
+    def test_login_and_fetch_write_the_file_twice(self, world, tmp_path, monkeypatch):
+        saves = []
+        real_save = CredentialCache.save
+
+        def counting_save(cache):
+            saves.append(cache.path)
+            real_save(cache)
+
+        monkeypatch.setattr(CredentialCache, "save", counting_save)
+        session = cached_session(world, "alice", tmp_path)
+        session.login(password_of(world, "alice"))
+        session.get_iot_ticket("bulb")  # TGS exchange, then the ticket API
+        assert len(saves) == 2
+        session.get_iot_ticket("sensor")  # the service ticket is cached
+        assert len(saves) == 3
+
+    def test_failed_ticket_fetch_keeps_the_fresh_service_ticket(self, world, tmp_path, monkeypatch):
+        session = cached_session(world, "alice", tmp_path)
+        session.login(password_of(world, "alice"))
+
+        def unreachable(*args):
+            raise Timeout("ticket API unreachable")
+
+        monkeypatch.setattr(session.network, "http_post", unreachable)
+        with pytest.raises(Timeout):
+            session.get_iot_ticket("bulb")
+        on_disk = json.loads((tmp_path / "alice.cache.json").read_text())
+        assert on_disk["services"]["isv"] == session.cache.services["isv"]
+
+    def test_rejected_service_ticket_is_dropped_on_disk(self, world, tmp_path, monkeypatch):
+        session = cached_session(world, "alice", tmp_path)
+        session.login(password_of(world, "alice"))
+        session.get_iot_ticket("bulb")
+        monkeypatch.setattr(
+            session.network, "http_post", lambda *args: (401, {}, b'{"error": "KerberosAuthFailure"}')
+        )
+        with pytest.raises(KerberosAuthFailure):
+            session.get_iot_ticket("lock")
+        assert json.loads((tmp_path / "alice.cache.json").read_text())["services"] == {}
 
 
 class TestDeviceCalls:

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from kesic import daemon
+from kesic import daemon, net
 
 
 @pytest.fixture
@@ -29,7 +29,10 @@ def ticket_server(cold_world):
 def send_head(sock, head: str) -> tuple[int, dict]:
     """Send a request head (and no body); read one reply by its Content-Length."""
     sock.sendall(head.encode("latin-1") + b"\r\n")
-    reader = sock.makefile("rb")
+    return read_reply(sock.makefile("rb"))
+
+
+def read_reply(reader) -> tuple[int, dict]:
     status = int(reader.readline().split()[1])
     length = 0
     while (line := reader.readline()) not in (b"\r\n", b""):
@@ -73,6 +76,72 @@ def test_oversized_content_length_is_413_without_reading_the_body(ticket_server,
     head = f"POST /ticket HTTP/1.1\r\nHost: isv\r\nContent-Length: {length}\r\n"
     status, obj = refused_exchange(ticket_server, head)
     assert (status, obj["error"]) == (413, "FieldFormatError")
+
+
+LONG = "a" * net.MAX_LINE_BYTES
+HOSTILE_HEADS = {
+    "long-start-line": f"GET /{LONG} HTTP/1.1\r\n\r\n",
+    "long-header-line": f"GET /healthz HTTP/1.1\r\nX-Long: {LONG}\r\n\r\n",
+    "too-many-headers": "GET /healthz HTTP/1.1\r\n"
+    + "".join(f"X-{i}: v\r\n" for i in range(net.MAX_HEADERS + 1))
+    + "\r\n",
+    "obs-fold": "GET /healthz HTTP/1.1\r\nX-Folded: a\r\n b\r\n\r\n",
+    "no-colon": "GET /healthz HTTP/1.1\r\nHost isv\r\n\r\n",
+    "space-before-colon": "GET /healthz HTTP/1.1\r\nHost : isv\r\n\r\n",
+    "two-part-request-line": "GET /healthz\r\n\r\n",
+    "double-space-request-line": "GET  /healthz HTTP/1.1\r\n\r\n",
+    "empty-request-line": "\r\n\r\n",
+    "http-2": "GET /healthz HTTP/2.0\r\n\r\n",
+    "lower-case-version": "GET /healthz http/1.1\r\n\r\n",
+    "bare-cr": "GET /healthz HTTP/1.1\r\nX-A: b\rc\r\n\r\n",
+    "two-content-lengths": "POST /ticket HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\n",
+    "chunked": "POST /ticket HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+    "eof-inside-head": "GET /healthz HTTP/1.1\r\nHost: isv\r\n",
+    "eof-inside-start-line": "GET /heal",
+}
+
+
+def read_refusal(sock) -> tuple[int, dict]:
+    """Read one reply, then check that the server hung up after it."""
+    reader = sock.makefile("rb")
+    reply = read_reply(reader)
+    try:
+        rest = reader.read(1)
+    except ConnectionResetError:  # request bytes left unread turn the close into a reset
+        rest = b""
+    assert rest == b"", "a refused request must close its connection"
+    return reply
+
+
+@pytest.mark.parametrize("raw", HOSTILE_HEADS.values(), ids=HOSTILE_HEADS.keys())
+def test_hostile_request_head_is_400_and_the_server_keeps_serving(ticket_server, raw):
+    with socket.create_connection(ticket_server, timeout=5) as sock:
+        sock.sendall(raw.encode("latin-1"))
+        sock.shutdown(socket.SHUT_WR)  # ends any head that is still open
+        status, obj = read_refusal(sock)
+    assert (status, obj["error"]) == (400, "FieldFormatError")
+    assert http_exchange(ticket_server, "GET /healthz HTTP/1.1\r\nHost: isv\r\n") == (200, {"ok": True})
+
+
+def test_head_at_the_limits_is_served(ticket_server):
+    fields = "".join(f"X-{i}: v\r\n" for i in range(net.MAX_HEADERS - 1))
+    long_value = "a" * (net.MAX_LINE_BYTES - len("X-Long: \r\n"))
+    head = f"GET /healthz HTTP/1.1\r\n{fields}X-Long: {long_value}\r\n"
+    assert http_exchange(ticket_server, head) == (200, {"ok": True})
+
+
+def test_unserved_method_is_refused(ticket_server):
+    status, obj = refused_exchange(ticket_server, "PUT /ticket HTTP/1.1\r\nContent-Length: 0\r\n")
+    assert (status, obj["error"]) == (501, "FieldFormatError")
+
+
+def test_keep_alive_follows_version_and_connection(ticket_server):
+    healthz = "GET /healthz HTTP/1.1\r\nHost: isv\r\n"
+    with socket.create_connection(ticket_server, timeout=5) as sock:
+        for _ in range(3):  # one connection carries many HTTP/1.1 requests
+            assert send_head(sock, healthz) == (200, {"ok": True})
+    assert refused_exchange(ticket_server, healthz + "Connection: close\r\n") == (200, {"ok": True})
+    assert refused_exchange(ticket_server, "GET /healthz HTTP/1.0\r\n") == (200, {"ok": True})
 
 
 def test_well_framed_requests_still_reach_the_ticket_api(ticket_server):

@@ -1,5 +1,6 @@
 """Live transport: kept-alive HTTP and UDP sockets, against in-process servers."""
 
+import io
 import socket
 import sys
 import threading
@@ -7,6 +8,8 @@ import time
 import types
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kesic import daemon, net
 from kesic.errors import FieldFormatError, Timeout
@@ -179,6 +182,147 @@ class TestHttp:
     def test_only_plain_http_urls(self, network):
         with pytest.raises(FieldFormatError):
             network.http_post("https://127.0.0.1:1/ticket", {}, b"")
+
+
+OK_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+class ScriptedServer:
+    """Answers each POST with the next canned reply, one connection at a time.
+
+    Each reply is (bytes, hang_up): with hang_up the server closes the
+    connection once the reply is out.
+    """
+
+    def __init__(self, replies: list[tuple[bytes, bool]]) -> None:
+        self.replies = list(replies)
+        self.accepted = self.requests = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(5)
+        self.url = f"http://{addr_of(self.listener)}/ticket"
+        self.thread = threading.Thread(target=self._run)
+        self.thread.start()
+
+    def _run(self) -> None:
+        while self.replies:
+            conn, _ = self.listener.accept()
+            self.accepted += 1
+            with conn, conn.makefile("rb") as reader:
+                while self.replies and self._answer(conn, reader):
+                    pass
+
+    def _answer(self, conn, reader) -> bool:
+        length = None
+        while (line := reader.readline()) not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        if length is None:
+            return False  # the client closed the connection
+        reader.read(length)
+        self.requests += 1
+        reply, hang_up = self.replies.pop(0)
+        conn.sendall(reply)
+        return not hang_up
+
+    def close(self) -> None:
+        join(self.thread)
+        self.listener.close()
+
+
+@pytest.fixture
+def scripted():
+    servers = []
+
+    def start(replies) -> ScriptedServer:
+        servers.append(ScriptedServer(replies))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+HOSTILE_REPLIES = {
+    "garbage-status-line": b"garbage\r\n\r\n",
+    "no-content-length": b"HTTP/1.1 200 OK\r\n\r\nok",
+    "body-cut-short": b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nok",
+    "chunked": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+    "four-digit-status": b"HTTP/1.1 2000 OK\r\nContent-Length: 2\r\n\r\nok",
+}
+
+
+class TestHostileReplies:
+    @pytest.mark.parametrize("reply", HOSTILE_REPLIES.values(), ids=HOSTILE_REPLIES.keys())
+    def test_malformed_reply_is_a_timeout_and_never_retried(self, scripted, network, reply):
+        server = scripted([(OK_REPLY, False), (reply, True), (OK_REPLY, False)])
+        assert network.http_post(server.url, {}, b"a")[0::2] == (200, b"ok")
+        with pytest.raises(Timeout):
+            network.http_post(server.url, {}, b"b")
+        assert network.http_post(server.url, {}, b"c")[0::2] == (200, b"ok")
+        assert (server.accepted, server.requests) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+         b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok"],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_reply_that_closes_drops_the_connection(self, scripted, network, reply):
+        # The server keeps its end open: only the client can make the next
+        # POST use a fresh connection.
+        server = scripted([(reply, False), (OK_REPLY, False)])
+        assert network.http_post(server.url, {}, b"a")[0::2] == (200, b"ok")
+        assert network.http_post(server.url, {}, b"b")[0::2] == (200, b"ok")
+        assert (server.accepted, server.requests) == (2, 2)
+
+    def test_each_request_is_one_well_formed_head(self, scripted, network):
+        server = scripted([(OK_REPLY, False)])
+        with pytest.raises(FieldFormatError):
+            network.http_post(server.url, {"X-Bad": "a\r\nInjected: yes"}, b"")
+        network.http_post(server.url, {"x-custom": "v"}, b"body")
+        assert server.requests == 1
+
+
+def heads():
+    """Bytes that look like HTTP heads: some well-formed, some with junk lines."""
+    good_start = st.sampled_from([b"POST /ticket HTTP/1.1", b"HTTP/1.1 200 OK"])
+    good_field = st.sampled_from([b"Content-Length: 3", b"content-length: 4", b"Host: isv", b"X-A:\tb "])
+    junk = st.sampled_from([b"", b" folded", b"no colon", b"X: a\rb"]) | st.binary(max_size=40)
+
+    def head(start, field, end):
+        lines = st.tuples(start, st.lists(field, max_size=6), end)
+        return lines.map(lambda p: b"\r\n".join([p[0], *p[1]]) + p[2])
+
+    return head(good_start, good_field, st.just(b"\r\n\r\n")) | head(
+        good_start | junk, good_field | junk, st.sampled_from([b"\r\n\r\n", b"\n\n", b"\r\n", b""])
+    )
+
+
+class TestReadHead:
+    @given(st.one_of(heads(), st.binary(max_size=200)), st.binary(max_size=20))
+    def test_reads_a_head_or_refuses_and_leaves_the_body(self, head, body):
+        data = head + body
+        rfile = io.BufferedReader(io.BytesIO(data))
+        try:
+            result = net.read_head(rfile)
+        except FieldFormatError:
+            return
+        if result is None:
+            assert data == b""
+            return
+        assert isinstance(result, net.Head)
+        rest = rfile.read()
+        consumed = data[: len(data) - len(rest)]
+        assert consumed.endswith(b"\n\n") or consumed.endswith(b"\n\r\n")
+        assert b"\n\n" not in consumed[:-2] and b"\n\r\n" not in consumed[:-3]
+
+    def test_field_names_keep_their_case_and_repeats_are_joined(self):
+        rfile = io.BytesIO(b"HTTP/1.1 200 OK\r\nX-Nonce-Kind: counter\r\nVia: a\r\nvia: b\r\n\r\nbody")
+        head = net.read_head(rfile)
+        assert head == net.Head("HTTP/1.1 200 OK", {"X-Nonce-Kind": "counter", "Via": "a, b"})
+        assert net.header(head.headers, "x-nonce-kind") == "counter"
+        assert rfile.read() == b"body"
 
 
 class TestUdp:

@@ -1,8 +1,11 @@
 """Package surface: every public name a module declares exists."""
 
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -46,3 +49,17 @@ def test_bench_span_hooks_resolve():
         assert any(value is fn for mod in modules for value in vars(mod).values()), (
             f"{name}: no kesic module holds {fn.__qualname__}, so the tracer cannot wrap it"
         )
+
+
+def test_live_transport_does_not_import_the_stdlib_http_stack():
+    """The ticket API's framing is net.read_head on both ends; http.server and
+    http.client (and their email-based header parser) cost more per request
+    than the ticket API itself, so they must not come back unnoticed."""
+    src = pathlib.Path(kesic.__file__).resolve().parents[1]
+    code = (
+        "import sys, kesic.net, kesic.daemon; "
+        "print(' '.join(m for m in ('http.server', 'http.client', 'email.parser') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
