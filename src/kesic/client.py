@@ -24,7 +24,6 @@ from . import crypto, kdc, wire
 from .clock import Clock, SystemClock
 from .crypto import KeyRole, SymmetricKey
 from .device import GENERAL, NOT_SYNCED_TOKEN, POWER, VERDICT_TOKENS
-from .durable import atomic_write
 from .errors import (
     AuthFailure,
     DeviceRejected,
@@ -102,11 +101,16 @@ class CredentialCache:
          "services": {service_id: {"st": ..., "k": ..., "expires": ...}},
          "devices": {device_name: {"dtype": ..., "ticket": ..., ...}}}
 
-    The file is written with owner-only permissions since it holds live
-    session keys.
+    The file holds live session keys, so it is owner-only (0600). It is
+    opened on the first save and kept open; each save overwrites it in
+    place with one write, space-padded to the file's length. It is not
+    fsync'd: a crash may leave it empty or cut short, which loads as an
+    empty cache and costs a fresh login.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
+        self._fd: Optional[int] = None  # opened by the first save
+        self._size = 0  # the file's length, which every save pads to
         self.path = path
         self.tgt: Optional[dict] = None
         self.services: dict[str, dict] = {}
@@ -115,8 +119,14 @@ class CredentialCache:
             self._load(path)
 
     def _load(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            obj = wire.parse_json(data, "credential cache")
+        except FieldFormatError:
+            return  # empty or torn by a crash: start from an empty cache
+        if not isinstance(obj, dict):
+            return
         self.tgt = obj.get("tgt")
         self.services = dict(obj.get("services", {}))
         self.devices = dict(obj.get("devices", {}))
@@ -128,9 +138,27 @@ class CredentialCache:
             {"tgt": self.tgt, "services": self.services, "devices": self.devices},
             sort_keys=True,
             separators=(",", ":"),
-        )
-        # Not fsync'd: a cache lost to a crash costs only a fresh login.
-        atomic_write(self.path, blob.encode("utf-8"), durable=False)
+        ).encode("utf-8")
+        if self._fd is None:
+            self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o600)
+            os.fchmod(self._fd, 0o600)  # a file that already existed, too
+            self._size = os.fstat(self._fd).st_size
+        # Trailing spaces are JSON whitespace, so a shorter cache overwrites
+        # a longer one without a truncate and the save stays one write.
+        data = blob + b" " * (self._size - len(blob))
+        self._size = len(data)
+        written = 0
+        while written < len(data):
+            written += os.pwrite(self._fd, data[written:], written)
+
+    def close(self) -> None:
+        """Release the cache file; the next save opens it again."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    def __del__(self) -> None:
+        self.close()
 
     def summary(self, now: int) -> dict:
         """Redacted view for display: no key or ticket material."""

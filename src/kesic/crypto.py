@@ -87,16 +87,23 @@ class KeyRole(enum.Enum):
 class SymmetricKey:
     """A 256-bit key with a role label; repr never shows key bytes."""
 
-    __slots__ = ("_raw", "role")
+    __slots__ = ("_raw", "role", "_aead")
 
     def __init__(self, raw: bytes, role: KeyRole) -> None:
         if not isinstance(raw, (bytes, bytearray)) or len(raw) != KEY_LEN:
             raise ValueError(f"key must be {KEY_LEN} bytes")
         self._raw = bytes(raw)
         self.role = role
+        self._aead: AESGCM | None = None
 
     def raw(self) -> bytes:
         return self._raw
+
+    def aead(self) -> AESGCM:
+        """The AES-256-GCM cipher under this key, built on first use."""
+        if self._aead is None:
+            self._aead = AESGCM(self._raw)
+        return self._aead
 
     def hex(self) -> str:
         return self._raw.hex()
@@ -169,13 +176,13 @@ class SealedBox:
 
 def seal(key: SymmetricKey, plaintext: bytes, rng: Rng) -> SealedBox:
     nonce = rng.bytes(NONCE_LEN)
-    ct = AESGCM(key.raw()).encrypt(nonce, plaintext, None)
+    ct = key.aead().encrypt(nonce, plaintext, None)
     return SealedBox(nonce, ct)
 
 
 def open_box(key: SymmetricKey, box: SealedBox) -> bytes:
     try:
-        return AESGCM(key.raw()).decrypt(box.nonce, box.ct, None)
+        return key.aead().decrypt(box.nonce, box.ct, None)
     except InvalidTag as exc:
         raise AuthFailure("sealed box failed to open") from exc
 

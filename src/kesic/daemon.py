@@ -23,12 +23,19 @@ from .device import DEVICE_CLASSES, DeviceProfile
 from .errors import FieldFormatError
 from .isv import Isv, IsvConfig
 from .kdc import Kdc
-from .net import MAX_BODY_BYTES, body_length, parse_hostport, parse_request_line, read_head, wants_close
+from .net import (
+    _RECV_SIZE,
+    MAX_BODY_BYTES,
+    body_length,
+    parse_hostport,
+    parse_request_line,
+    read_head,
+    wants_close,
+)
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
 
-_RECV_SIZE = 65535
 # A kept-alive ticket API connection that carries no request for this long
 # is closed; so is one whose request stalls for this long.
 HTTP_IDLE_TIMEOUT_S = 10.0
@@ -81,6 +88,16 @@ def kdc_main(argv: list[str] | None = None) -> int:
 
 
 _REASONS = {status.value: status.phrase for status in http.HTTPStatus}
+_date = (0, "")  # (second, its Date header line), shared by every connection
+
+
+def _date_line() -> str:
+    """The reply's Date header line, formatted once per second."""
+    global _date
+    now = int(time.time())
+    if _date[0] != now:
+        _date = (now, time.strftime("Date: %a, %d %b %Y %H:%M:%S GMT", time.gmtime(now)))
+    return _date[1]
 
 
 class _TicketHttpHandler(socketserver.StreamRequestHandler):
@@ -144,7 +161,7 @@ class _TicketHttpHandler(socketserver.StreamRequestHandler):
         lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}"]
         lines += [f"{key}: {value}" for key, value in headers.items()]
         lines.append(f"Content-Length: {len(payload)}")
-        lines.append(time.strftime("Date: %a, %d %b %Y %H:%M:%S GMT", time.gmtime()))
+        lines.append(_date_line())
         lines.append("\r\n")
         self.wfile.write("\r\n".join(lines).encode("latin-1") + payload)
         return not wants_close(headers)

@@ -242,7 +242,8 @@ class SocketNetwork(Network):
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             sock.connect(parse_hostport(key))
             socks[key] = sock
-        sock.settimeout(timeout)
+        if sock.gettimeout() != timeout:
+            sock.settimeout(timeout)  # a syscall, and a GIL release, on every call
         try:
             sock.send(payload)
             return sock.recv(_RECV_SIZE)

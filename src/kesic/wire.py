@@ -87,6 +87,10 @@ class FieldKind(enum.Enum):
     HEX_MAC = "hex-mac"
     COMMAND = "command"
 
+    # Members are singletons, so identity is equality; render's set lookups
+    # then skip Enum's Python-level __hash__.
+    __hash__ = object.__hash__
+
 
 _DECIMAL_KINDS = frozenset(
     {FieldKind.NUMERIC_ID, FieldKind.COUNTER, FieldKind.TIMESTAMP, FieldKind.LIFETIME}

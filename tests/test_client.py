@@ -225,6 +225,101 @@ class TestCacheWrites:
         assert json.loads((tmp_path / "alice.cache.json").read_text())["services"] == {}
 
 
+class TestCacheFile:
+    """The cache file is overwritten in place, so a crash can leave it
+    empty or cut short; either loads as an empty cache (a fresh login)."""
+
+    def _written_cache(self, world, tmp_path) -> bytes:
+        session = cached_session(world, "alice", tmp_path)
+        session.login(password_of(world, "alice"))
+        session.get_iot_ticket("bulb")
+        return (tmp_path / "alice.cache.json").read_bytes()
+
+    def test_space_padded_file_loads(self, world, tmp_path):
+        data = self._written_cache(world, tmp_path)
+        path = tmp_path / "padded.cache.json"
+        path.write_bytes(data.rstrip(b" ") + b" " * 300)
+        cache = CredentialCache(str(path))
+        assert (cache.tgt, cache.services, cache.devices) == tuple(
+            json.loads(data)[key] for key in ("tgt", "services", "devices")
+        )
+
+    @pytest.mark.parametrize("cut", [0, 1, 2, 0.5, -1], ids=["empty", "1B", "2B", "half", "all-but-1B"])
+    def test_empty_or_cut_short_file_loads_as_an_empty_cache(self, world, tmp_path, cut):
+        data = self._written_cache(world, tmp_path)
+        path = tmp_path / "alice.cache.json"
+        path.write_bytes(data[: int(len(data) * cut) if isinstance(cut, float) else cut])
+        session = cached_session(world, "alice", tmp_path)
+        assert (session.cache.tgt, session.cache.services, session.cache.devices) == (None, {}, {})
+        with pytest.raises(AuthFailure, match="login first"):
+            session.get_iot_ticket("bulb")
+        session.login(password_of(world, "alice"))
+        assert session.call_device("bulb", "LED_ON").accepted
+        assert CredentialCache(str(path)).devices.keys() == {"bulb"}
+
+    def test_existing_world_readable_file_ends_owner_only(self, tmp_path):
+        path = tmp_path / "old.cache.json"
+        path.write_text("{}")
+        os.chmod(path, 0o644)
+        cache = CredentialCache(str(path))
+        cache.save()
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+    def test_shorter_save_leaves_no_stale_tail(self, world, tmp_path):
+        session = cached_session(world, "alice", tmp_path)
+        session.login(password_of(world, "alice"))
+        session.get_iot_ticket("bulb")
+        path = tmp_path / "alice.cache.json"
+        size = path.stat().st_size
+        session.cache.devices.clear()
+        session.cache.save()
+        assert path.stat().st_size == size
+        reloaded = CredentialCache(str(path))
+        assert session.cache.tgt is not None
+        assert (reloaded.tgt, reloaded.services, reloaded.devices) == (session.cache.tgt, session.cache.services, {})
+
+    def test_saves_write_in_place_through_one_open(self, world, tmp_path, monkeypatch):
+        def no_rename(*args, **kwargs):
+            raise AssertionError("the credential cache must not be renamed into place")
+
+        opens = []
+        real_open = os.open
+
+        def counting_open(path, *args, **kwargs):
+            opens.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        monkeypatch.setattr(os, "rename", no_rename)
+        monkeypatch.setattr(os, "open", counting_open)
+        session = cached_session(world, "alice", tmp_path)
+        session.login(password_of(world, "alice"))
+        session.get_iot_ticket("bulb")
+        assert session.call_device("sensor", "LED_ON").accepted  # fetch, then burn
+        assert opens == [str(tmp_path / "alice.cache.json")]
+        session.cache.close()
+        assert session.cache.devices.keys() == CredentialCache(opens[0]).devices.keys() == {"bulb"}
+
+    def test_burnt_power_ticket_is_gone_from_disk_before_the_send(self, world, tmp_path, monkeypatch):
+        session = cached_session(world, "alice", tmp_path)
+        session.login(password_of(world, "alice"))
+        session.get_iot_ticket("sensor")
+        path = str(tmp_path / "alice.cache.json")
+        assert "sensor" in CredentialCache(path).devices
+        on_disk_at_send = []
+        real_call = session.network.udp_call
+
+        def call_after_reading_the_file(addr, payload, timeout=2.0):
+            on_disk_at_send.append(set(CredentialCache(path).devices))
+            return real_call(addr, payload, timeout=timeout)
+
+        monkeypatch.setattr(session.network, "udp_call", call_after_reading_the_file)
+        world.transport.drop_next(src=session.network.addr, dst="dev:sensor")
+        with pytest.raises(Timeout):
+            session.call_device("sensor", "LED_ON")
+        assert on_disk_at_send == [set()]
+
+
 class TestDeviceCalls:
     def test_general_ticket_serves_many_calls(self, world, tmp_path):
         session = cached_session(world, "alice", tmp_path)

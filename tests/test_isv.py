@@ -2,6 +2,7 @@
 
 import base64
 import errno
+import hashlib
 import json
 import os
 import threading
@@ -432,6 +433,18 @@ class TestTicketApi:
             mat.kl_key, ident.id_c, ident.ad_c, resp.nonce, mat.id_dev
         )
         assert resp.session_key == key_expected.hex()
+
+    def test_sealed_ticket_bytes_are_pinned(self, s):
+        # Setup's fixed Rng and clock make each sealed reply a constant:
+        # the sealed JSON is sort_keys and compact however it is built.
+        digests = []
+        for device in ("bulb", "sensor"):
+            if device == "sensor":
+                wake_sensor(s)
+            status, _, obj, _ = s.request_ticket(device)
+            assert status == 200
+            digests.append(hashlib.sha256(obj["sealed"].encode()).hexdigest()[:32])
+        assert digests == ["73805380e7626830668b038c2f169393", "c7cea13e6a78c3d2afe5486e4999c5e6"]
 
     def test_power_ticket_issuance_consumes_counter(self, s):
         wake_sensor(s)

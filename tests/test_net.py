@@ -334,6 +334,23 @@ class TestUdp:
         join(thread)
         assert len({src for _, src in sources}) == 1
 
+    def test_a_socket_is_given_its_timeout_only_when_it_changes(self, udp_server, network, monkeypatch):
+        # settimeout is a syscall that releases the GIL; another client
+        # thread can take it there, so the call path makes as few as it can.
+        timeouts = []
+        real_settimeout = socket.socket.settimeout
+
+        def recording(sock, value):
+            timeouts.append(value)
+            real_settimeout(sock, value)
+
+        monkeypatch.setattr(socket.socket, "settimeout", recording)
+        thread = udp_echo(udp_server, 4, [])
+        for timeout in (2.0, 2.0, 2.0, 1.5):
+            assert network.udp_call(addr_of(udp_server), b"x", timeout=timeout) == b"re:x"
+        join(thread)
+        assert timeouts == [2.0, 1.5]
+
     def test_late_reply_never_answers_the_next_call(self, udp_server, network):
         addr = addr_of(udp_server)
         with pytest.raises(Timeout):
