@@ -105,7 +105,8 @@ class CredentialCache:
     opened on the first save and kept open; each save overwrites it in
     place with one write, space-padded to the file's length. It is not
     fsync'd: a crash may leave it empty or cut short, which loads as an
-    empty cache and costs a fresh login.
+    empty cache and costs a fresh login. One cache object writes a given
+    file at a time; it tracks the file's length itself.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
