@@ -210,8 +210,9 @@ def _scrypt(password: bytes, salt: bytes) -> bytes:
 
 
 def derive_password_key(password: str, salt: bytes) -> SymmetricKey:
-    # Pure function of (password, salt); cached because every simulated world
-    # rederives the same provisioning keys.
+    # Pure function of (password, salt). Cached because a client that logs in
+    # again, or in the process that provisioned it, reuses the key; the KDC
+    # loads stored keys and never calls this.
     if password == "":
         raise EmptyPassword("password must be non-empty")
     return SymmetricKey(_scrypt(password.encode("utf-8"), salt), KeyRole.PASSWORD)

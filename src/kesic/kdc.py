@@ -1,9 +1,11 @@
 """Minimal two-stage Kerberos KDC (AS + TGS) over JSON-framed UDP.
 
-Principals are semantic string ids ("alice", "isv", "tgs"). Client
-long-term keys are password-derived; service keys and the TGS key are
-random 32-byte keys registered at provisioning. Tickets and authenticators
-are AES-GCM sealed JSON objects carried as base64 strings:
+Principals are semantic string ids ("alice", "isv", "tgs"). A client's
+long-term key is scrypt(password, salt=name), derived once at
+provisioning; as in RFC 4120, the KDC database stores that key, so the
+KDC never holds a password or runs scrypt. Service keys and the TGS key
+are random 32-byte keys registered at provisioning. Tickets and
+authenticators are AES-GCM sealed JSON objects carried as base64 strings:
 
     AS  req   {"op": "as", "id_c", "id_tgs", "ts"}                (plaintext)
     AS  resp  {"sealed": E(Kl_C-AS,  {"k", "ts", "lf2", "tgt"})}
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .clock import Clock, SystemClock
-from .crypto import KeyRole, SymmetricKey, derive_password_key, open_json, seal_json
+from .crypto import KeyRole, SymmetricKey, open_json, seal_json
 from .errors import (
     AuthFailure,
     FieldFormatError,
@@ -92,13 +94,24 @@ class PrincipalDb:
         for name, rec in obj["clients"].items():
             db.clients[name] = ClientPrincipal(
                 name=name,
-                key=derive_password_key(rec["password"], name.encode("utf-8")),
+                key=_client_key(name, rec),
                 ad_c=int(rec["ad_c"]),
                 services=frozenset(rec["services"]),
             )
         for name, blob in obj["services"].items():
             db.services[name] = key_from_b64(blob, KeyRole.PASSWORD)
         return db
+
+
+def _client_key(name: str, rec: dict) -> SymmetricKey:
+    if "key" not in rec:
+        raise FieldFormatError(
+            f"client {name!r}: no 'key' field (a database that lists passwords: provision again)"
+        )
+    try:
+        return key_from_b64(rec["key"], KeyRole.PASSWORD)
+    except (AuthFailure, ValueError) as exc:
+        raise FieldFormatError(f"client {name!r}: bad 'key' field: {exc}") from exc
 
 
 class ReplayCache:

@@ -1,6 +1,7 @@
 """Fleet provisioning: one generation step feeds every actor's config.
 
-Clients get a password-derived KDC key and numeric (id_c, ad_c) identities;
+Clients get a password-derived KDC key, derived once here and stored (the
+KDC never sees a password), and numeric (id_c, ad_c) identities;
 devices get three independently drawn long-term keys (sync, ticket, session
 key roles), a numeric id and a pseudo-program memory image whose SHA-256
 the server stores as the attestation reference. Each actor's config is one
@@ -109,6 +110,7 @@ class ClientIdentity:
     spec: ClientSpec
     id_c: int
     ad_c: int
+    key: SymmetricKey  # long-term KDC key, scrypt(password, salt=name)
 
 
 @dataclass
@@ -131,7 +133,7 @@ class Fleet:
             "tgs_key": key_b64(self.tgs_key),
             "clients": {
                 name: {
-                    "password": i.spec.password,
+                    "key": key_b64(i.key),
                     "ad_c": i.ad_c,
                     "services": sorted(i.spec.services),
                 }
@@ -203,8 +205,11 @@ class Fleet:
 
 
 def _write_json(path: str, obj: dict) -> None:
+    """Writes a config owner-only: most of them hold long-term keys."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        os.fchmod(fd, 0o600)  # a file that already existed, too
         json.dump(obj, fh, indent=2, sort_keys=True)
 
 
@@ -221,15 +226,15 @@ def provision(spec: FleetSpec, rng: Rng) -> Fleet:
     fleet.secrets.append(("kdc:service_key", fleet.service_key.raw()))
     all_client_names = tuple(c.name for c in spec.clients)
     for i, cspec in enumerate(spec.clients):
-        ident = ClientIdentity(spec=cspec, id_c=1001 + i, ad_c=2001 + i)
+        ident = ClientIdentity(
+            spec=cspec,
+            id_c=1001 + i,
+            ad_c=2001 + i,
+            key=derive_password_key(cspec.password, cspec.name.encode("utf-8")),
+        )
         fleet.clients[cspec.name] = ident
         fleet.secrets.append((f"password:{cspec.name}", cspec.password.encode("utf-8")))
-        fleet.secrets.append(
-            (
-                f"kl_c_as:{cspec.name}",
-                derive_password_key(cspec.password, cspec.name.encode("utf-8")).raw(),
-            )
-        )
+        fleet.secrets.append((f"kl_c_as:{cspec.name}", ident.key.raw()))
     for i, dspec in enumerate(spec.devices):
         mat = DeviceMaterial(
             spec=dspec,

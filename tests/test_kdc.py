@@ -1,5 +1,6 @@
 """Key distribution center: AS and TGS exchanges, replay cache, datagram layer."""
 
+import base64
 import json
 
 import pytest
@@ -285,11 +286,52 @@ class TestPrincipalDb:
             fleet.write_kdc_db(path)
             with open(path) as fh:
                 db = kdc.PrincipalDb.from_json_obj(json.load(fh))
+            with open(path, "rb") as fh:
+                written = fh.read()
         assert db.tgs_id == "tgs"
         assert db.tgs_key == fleet.tgs_key
         assert db.clients["alice"].ad_c == 2001
-        assert db.clients["alice"].key == alice_key()
         assert db.services["isv"] == fleet.service_key
+        for name, ident in fleet.clients.items():
+            assert ident.spec.password.encode("utf-8") not in written
+            password_key = crypto.derive_password_key(ident.spec.password, name.encode("utf-8"))
+            assert db.clients[name].key == password_key
+
+    def test_loading_a_large_db_runs_no_scrypt(self, setup, monkeypatch):
+        _, rng, fleet, _ = setup
+        obj = fleet.kdc_json()
+        obj["clients"] = {
+            f"user{i}": {"key": kdc.key_b64(SymmetricKey.generate(rng, KeyRole.PASSWORD)),
+                         "ad_c": 5000 + i, "services": ["isv"]}
+            for i in range(1000)
+        }
+
+        def no_scrypt(*args):
+            raise AssertionError("the KDC ran scrypt while loading its database")
+
+        monkeypatch.setattr(crypto, "_scrypt", no_scrypt)
+        db = kdc.PrincipalDb.from_json_obj(obj)
+        assert len(db.clients) == 1000
+        assert db.clients["user999"].key == kdc.key_from_b64(
+            obj["clients"]["user999"]["key"], KeyRole.PASSWORD
+        )
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            # A database written before keys were stored holds the password.
+            ({"password": PASSWORD}, "no 'key' field"),
+            ({"key": "not base64!"}, "bad 'key' field"),
+            ({"key": base64.b64encode(bytes(16)).decode("ascii")}, "bad 'key' field"),
+        ],
+        ids=["password-only", "not-base64", "wrong-length"],
+    )
+    def test_bad_client_key_is_a_named_error(self, setup, entry, message):
+        _, _, fleet, _ = setup
+        obj = fleet.kdc_json()
+        obj["clients"]["alice"] = {"ad_c": 2001, "services": ["isv"], **entry}
+        with pytest.raises(FieldFormatError, match=f"client 'alice': {message}"):
+            kdc.PrincipalDb.from_json_obj(obj)
 
 
 class TestKdcConfigFile:
