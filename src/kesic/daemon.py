@@ -9,29 +9,18 @@ request/response except the ticket API, which is plain HTTP.
 from __future__ import annotations
 
 import argparse
-import http
 import json
 import logging
 import socket
 import socketserver
 import sys
 import threading
-import time
 
 from .clock import SystemClock
 from .device import DEVICE_CLASSES, DeviceProfile
-from .errors import FieldFormatError
 from .isv import Isv, IsvConfig
 from .kdc import Kdc
-from .net import (
-    _RECV_SIZE,
-    MAX_BODY_BYTES,
-    body_length,
-    parse_hostport,
-    parse_request_line,
-    read_head,
-    wants_close,
-)
+from .net import _RECV_SIZE, parse_hostport, serve_http
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
@@ -87,19 +76,6 @@ def kdc_main(argv: list[str] | None = None) -> int:
 # --- IoT server ---------------------------------------------------------------
 
 
-_REASONS = {status.value: status.phrase for status in http.HTTPStatus}
-_date = (0, "")  # (second, its Date header line), shared by every connection
-
-
-def _date_line() -> str:
-    """The reply's Date header line, formatted once per second."""
-    global _date
-    now = int(time.time())
-    if _date[0] != now:
-        _date = (now, time.strftime("Date: %a, %d %b %Y %H:%M:%S GMT", time.gmtime(now)))
-    return _date[1]
-
-
 class _TicketHttpHandler(socketserver.StreamRequestHandler):
     """Serves ticket API requests on one connection, kept alive until the
     client closes it, asks to, speaks HTTP/1.0, or idles past the timeout."""
@@ -109,62 +85,12 @@ class _TicketHttpHandler(socketserver.StreamRequestHandler):
     timeout = HTTP_IDLE_TIMEOUT_S
 
     def handle(self) -> None:
+        isv = self.server.isv
         try:
-            while self._serve_one():
+            while serve_http(self.rfile, self.wfile, isv.tickets.handle_http, isv.clock):
                 pass
         except TimeoutError:
             pass  # idle, or a request stalled: hang up
-
-    def _serve_one(self) -> bool:
-        """Read and answer one request; False when the connection must close."""
-        try:
-            head = read_head(self.rfile)
-            if head is None:
-                return False
-            method, target, version = parse_request_line(head.start)
-            length = body_length(head.headers)
-        except FieldFormatError as exc:
-            return self._refuse(400, str(exc))
-        if method not in ("GET", "POST"):
-            return self._refuse(501, f"method {method} is not served")
-        if length is None:
-            if method != "GET":
-                return self._refuse(400, "a POST needs a decimal Content-Length")
-            length = 0
-        if length > MAX_BODY_BYTES:
-            return self._refuse(413, f"request bodies are limited to {MAX_BODY_BYTES} bytes")
-        body = self.rfile.read(length)
-        if len(body) != length:
-            return False  # the client hung up inside the body
-        try:
-            status, headers, payload = self.server.isv.tickets.handle_http(
-                method, target, head.headers, body
-            )
-        except Exception:
-            # Last resort, as in _udp_pump: a handler bug answers this
-            # request and closes its connection, and the server keeps serving.
-            logger.exception("ticket API failed on %s %s", method, target)
-            return self._close_with(500, {"error": "InternalError"})
-        keep = version == "HTTP/1.1" and not wants_close(head.headers)
-        return self._reply(status, headers if keep else {**headers, "Connection": "close"}, payload)
-
-    def _refuse(self, status: int, detail: str) -> bool:
-        # The body stays unread, so this connection cannot carry another request.
-        return self._close_with(status, {"error": "FieldFormatError", "detail": detail})
-
-    def _close_with(self, status: int, obj: dict) -> bool:
-        payload = json.dumps(obj, sort_keys=True).encode()
-        return self._reply(status, {"Content-Type": "application/json", "Connection": "close"}, payload)
-
-    def _reply(self, status: int, headers: dict[str, str], payload: bytes) -> bool:
-        """Write head and body at once; True while the connection stays open."""
-        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}"]
-        lines += [f"{key}: {value}" for key, value in headers.items()]
-        lines.append(f"Content-Length: {len(payload)}")
-        lines.append(_date_line())
-        lines.append("\r\n")
-        self.wfile.write("\r\n".join(lines).encode("latin-1") + payload)
-        return not wants_close(headers)
 
 
 class _TicketHttpServer(socketserver.ThreadingTCPServer):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto import KeyRole, SymmetricKey
-from ..kdc import DEFAULT_CLOCK_SKEW, key_from_b64
+from ..kdc import DEFAULT_CLOCK_SKEW, config_key
 
 GENERAL = "general"
 POWER = "power"
@@ -37,14 +37,15 @@ class DeviceProfile:
         isv_attest_addr: object,
         state_path: str | None = None,
     ) -> "DeviceProfile":
+        entry = f"device profile {obj['name']!r}"
         return cls(
             name=obj["name"],
             id_dev=int(obj["id_dev"]),
             dtype=obj["type"],
             id_isv=int(obj["id_isv"]),
-            kl_sync=key_from_b64(obj["kl_sync"], KeyRole.LT_SYNC),
-            kl_tkt=key_from_b64(obj["kl_tkt"], KeyRole.LT_TICKET),
-            kl_key=key_from_b64(obj["kl_key"], KeyRole.LT_SESSKEY),
+            kl_sync=config_key(entry, obj, "kl_sync", KeyRole.LT_SYNC),
+            kl_tkt=config_key(entry, obj, "kl_tkt", KeyRole.LT_TICKET),
+            kl_key=config_key(entry, obj, "kl_key", KeyRole.LT_SESSKEY),
             memory=memory,
             isv_sync_addr=isv_sync_addr,
             isv_attest_addr=isv_attest_addr,

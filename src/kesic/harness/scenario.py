@@ -26,16 +26,16 @@ the scenario fail without aborting the remaining steps.
 from __future__ import annotations
 
 import base64
+import io
 from typing import Optional
 
-from .. import wire
 from ..client import ClientConfig, ClientSession
 from ..clock import VirtualClock
 from ..device import DEVICE_CLASSES, DeviceProfile, GeneralDevice, PowerDevice
-from ..errors import FieldFormatError, KesicError, ScriptError, error_name
-from ..isv import Isv, IsvConfig, TicketManager
+from ..errors import KesicError, ScriptError, error_name
+from ..isv import Isv, IsvConfig
 from ..kdc import Kdc
-from ..net import sim_http_response
+from ..net import serve_http
 from ..provision import Fleet, FleetSpec, provision
 from ..rng import Rng
 from .transport import SimNetwork, VirtualTransport
@@ -56,7 +56,10 @@ DEFAULT_FLEET = {
 
 
 class World:
-    """Everything needed to run scripted exchanges in one process."""
+    """Everything needed to run scripted exchanges in one process.
+
+    ``isv:http`` serves HTTP/1.1 bytes with the live daemon's ``net.serve_http``.
+    """
 
     def __init__(self, spec: FleetSpec, seed: Optional[int]) -> None:
         self.seed = seed
@@ -78,7 +81,14 @@ class World:
         self.transport.register("kdc", lambda data, src, send: send(src, kdc.handle_datagram(data, src)))
         self.transport.register("isv:sync", self.isv.sync.handle_sync)
         self.transport.register("isv:attest", self.isv.sync.handle_attest)
-        self.transport.register("isv:http", lambda data, src, send: send(src, _http_endpoint(tickets, data)))
+
+        def serve_ticket_api(data: bytes, src: str, send) -> None:
+            out = io.BytesIO()  # one frame carries one HTTP/1.1 request
+            serve_http(io.BytesIO(data), out, tickets.handle_http, tickets.clock)
+            if out.getvalue():
+                send(src, out.getvalue())
+
+        self.transport.register("isv:http", serve_ticket_api)
 
         self.devices: dict[str, GeneralDevice | PowerDevice] = {}
         for name, mat in self.fleet.devices.items():
@@ -166,18 +176,6 @@ class World:
         self._harvest_runtime_secrets()
         probes = list(self.fleet.secrets) + sorted(self._runtime_secrets.items())
         return [label for label, secret in probes if self.transport.transcript_contains(secret)]
-
-
-def _http_endpoint(tickets: TicketManager, data: bytes) -> bytes:
-    """The ticket API behind the simulated HTTP envelope of ``net.sim_http_payload``."""
-    try:
-        req = wire.parse_json(data.decode("utf-8"), "http envelope")
-        status, headers, body = tickets.handle_http(
-            req["method"], req["path"], dict(req["headers"]), req["body"].encode("utf-8")
-        )
-    except (FieldFormatError, ValueError, KeyError, TypeError, AttributeError):
-        status, headers, body = 400, {}, b'{"error": "FieldFormatError"}'
-    return sim_http_response(status, headers, body)
 
 
 def step_op(index: int, step: object) -> str:

@@ -1,7 +1,7 @@
 """In-process message fabric with adversarial hooks.
 
-Every datagram (and, for transcript purposes, every simulated HTTP
-exchange) flows through one :class:`VirtualTransport`. Frames are queued
+Every datagram, and every ticket API request and reply as HTTP/1.1 bytes,
+flows through one :class:`VirtualTransport`. Frames are queued
 with a global sequence number and delivered in order by :meth:`pump`, so a
 run is a pure function of the scenario script and the world seed.
 
@@ -16,12 +16,11 @@ from __future__ import annotations
 import base64
 import dataclasses
 import heapq
-import json
-import urllib.parse
+import io
 from typing import Callable, Optional
 
 from ..errors import ScriptError, Timeout
-from ..net import Network, sim_http_payload
+from ..net import Network, read_reply, render_request, split_url
 
 Handler = Callable[[bytes, str, Callable[[str, bytes], None]], None]
 
@@ -204,9 +203,10 @@ class SimNetwork(Network):
 
     Each client owns one address on the fabric; request/response is
     emulated by pumping the fabric to quiescence and then collecting the
-    first frame delivered back to that address. HTTP is carried in JSON
-    envelopes to ``isv:http`` so ticket traffic shows up in the transcript
-    like everything else.
+    first frame delivered back to that address. A ticket API request goes
+    to ``isv:http`` as the same HTTP/1.1 bytes the live client sends, and
+    its reply comes back as the bytes the live daemon writes, so ticket
+    traffic shows up in the transcript like everything else.
     """
 
     def __init__(self, transport: VirtualTransport, addr: str) -> None:
@@ -234,11 +234,7 @@ class SimNetwork(Network):
     def http_post(
         self, url: str, headers: dict[str, str], body: bytes
     ) -> tuple[int, dict[str, str], bytes]:
-        path = urllib.parse.urlsplit(url).path or "/"
+        host, target = split_url(url)
         self._inbox.clear()
-        self.transport.send(
-            self.addr, "isv:http", sim_http_payload("POST", path, headers, body)
-        )
-        raw = self._await_reply("isv:http")
-        obj = json.loads(raw.decode("utf-8"))
-        return int(obj["status"]), dict(obj["headers"]), obj["body"].encode("utf-8")
+        self.transport.send(self.addr, "isv:http", render_request(host, target, headers, body))
+        return read_reply(io.BytesIO(self._await_reply("isv:http")))[:3]

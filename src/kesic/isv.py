@@ -53,7 +53,7 @@ from .errors import (
     error_name,
 )
 from .device.profile import GENERAL
-from .kdc import DEFAULT_CLOCK_SKEW, ReplayCache, key_from_b64, verify_ap
+from .kdc import DEFAULT_CLOCK_SKEW, ReplayCache, config_key, verify_ap
 from .net import header
 from .rng import Rng
 
@@ -471,7 +471,7 @@ class IsvConfig:
         cfg = cls(
             kerberos_id=obj["kerberos_id"],
             id_isv=int(obj["id_isv"]),
-            service_key=key_from_b64(obj["service_key"], KeyRole.PASSWORD),
+            service_key=config_key("IoT server config", obj, "service_key", KeyRole.PASSWORD),
             users={name: (int(u["id_c"]), int(u["ad_c"])) for name, u in obj["users"].items()},
             iot_ticket_lifetime=int(obj.get("iot_ticket_lifetime", DEFAULT_IOT_TICKET_LIFETIME)),
             attest_timeout=int(obj.get("attest_timeout", DEFAULT_ATTEST_TIMEOUT)),
@@ -479,14 +479,15 @@ class IsvConfig:
         )
         records = []
         for name, dev in obj["devices"].items():
+            entry = f"device {name!r}"
             records.append(
                 DeviceRecord(
                     name=name,
                     id_dev=int(dev["id_dev"]),
                     dtype=dev["type"],
-                    kl_sync=key_from_b64(dev["kl_sync"], KeyRole.LT_SYNC),
-                    kl_tkt=key_from_b64(dev["kl_tkt"], KeyRole.LT_TICKET),
-                    kl_key=key_from_b64(dev["kl_key"], KeyRole.LT_SESSKEY),
+                    kl_sync=config_key(entry, dev, "kl_sync", KeyRole.LT_SYNC),
+                    kl_tkt=config_key(entry, dev, "kl_tkt", KeyRole.LT_TICKET),
+                    kl_key=config_key(entry, dev, "kl_key", KeyRole.LT_SESSKEY),
                     allow=frozenset(dev["allow"]),
                     ref_memory_hash=bytes.fromhex(dev["memory_sha256"]),
                 )

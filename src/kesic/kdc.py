@@ -87,31 +87,31 @@ class PrincipalDb:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PrincipalDb":
+        services = obj["services"]
         db = cls(
             tgs_id=obj.get("tgs_id", DEFAULT_TGS_ID),
-            tgs_key=key_from_b64(obj["tgs_key"], KeyRole.PASSWORD),
+            tgs_key=config_key("KDC database", obj, "tgs_key", KeyRole.PASSWORD),
+            services={name: config_key("KDC services", services, name, KeyRole.PASSWORD) for name in services},
         )
         for name, rec in obj["clients"].items():
             db.clients[name] = ClientPrincipal(
                 name=name,
-                key=_client_key(name, rec),
+                key=config_key(f"client {name!r}", rec, "key", KeyRole.PASSWORD),
                 ad_c=int(rec["ad_c"]),
                 services=frozenset(rec["services"]),
             )
-        for name, blob in obj["services"].items():
-            db.services[name] = key_from_b64(blob, KeyRole.PASSWORD)
         return db
 
 
-def _client_key(name: str, rec: dict) -> SymmetricKey:
-    if "key" not in rec:
-        raise FieldFormatError(
-            f"client {name!r}: no 'key' field (a database that lists passwords: provision again)"
-        )
+def config_key(entry: str, obj: dict, name: str, role: KeyRole) -> SymmetricKey:
+    """The base64 key in field ``name`` of a config file's ``entry``; a missing
+    field, bad base64 or a wrong length is a FieldFormatError naming both."""
+    if name not in obj:
+        raise FieldFormatError(f"{entry}: no {name!r} field")
     try:
-        return key_from_b64(rec["key"], KeyRole.PASSWORD)
+        return key_from_b64(obj[name], role)
     except (AuthFailure, ValueError) as exc:
-        raise FieldFormatError(f"client {name!r}: bad 'key' field: {exc}") from exc
+        raise FieldFormatError(f"{entry}: bad {name!r} field: {exc}") from exc
 
 
 class ReplayCache:

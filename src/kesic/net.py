@@ -5,19 +5,26 @@ API over ``http_post``. The socket implementation below is used in live
 mode; the harness provides a virtual-transport implementation with the
 same interface so the SDK code path is identical in both modes.
 
-``read_head`` is the one HTTP/1.1 head reader: the client reads replies
-with it and the daemon's ticket API reads requests with it.
+The ticket API has one HTTP/1.1 framing in both modes: the client sends
+``render_request`` and reads ``read_reply``, the server answers with
+``serve_http``, and both ends read heads with ``read_head``.
 """
 
 from __future__ import annotations
 
+import http
 import json
+import logging
 import re
 import socket
 import threading
-from typing import BinaryIO, NamedTuple, Optional
+import time
+from typing import BinaryIO, Callable, NamedTuple, Optional
 
+from .clock import Clock
 from .errors import FieldFormatError, Timeout
+
+logger = logging.getLogger(__name__)
 
 HTTP_TIMEOUT_S = 5.0
 _RECV_SIZE = 65535
@@ -99,7 +106,10 @@ def read_head(rfile: BinaryIO) -> Optional[Head]:
 def header(headers: dict[str, str], name: str) -> Optional[str]:
     """The value of header field ``name``, matched without regard to case."""
     name = name.lower()
-    return next((v for k, v in headers.items() if k.lower() == name), None)
+    for key, value in headers.items():  # a loop: cheaper than a generator here
+        if key.lower() == name:
+            return value
+    return None
 
 
 def wants_close(headers: dict[str, str]) -> bool:
@@ -131,8 +141,7 @@ def parse_request_line(start: str) -> tuple[str, str, str]:
     parts = start.split(" ")
     if len(parts) != 3 or not _TOKEN.fullmatch(parts[0]) or not parts[1] or parts[2] not in _VERSIONS:
         raise FieldFormatError(f"malformed HTTP request line {start[:40]!r}")
-    method, target, version = parts
-    return method, target, version
+    return parts[0], parts[1], parts[2]
 
 
 def _parse_status_line(start: str) -> tuple[str, int]:
@@ -144,7 +153,26 @@ def _parse_status_line(start: str) -> tuple[str, int]:
     return version, int(code)
 
 
-def _render_request(host: str, target: str, headers: dict[str, str], body: bytes) -> bytes:
+def read_reply(rfile: BinaryIO) -> tuple[int, dict[str, str], bytes, bool]:
+    """Read one reply: (status, headers, body, whether the connection stays open).
+
+    Raises FieldFormatError for no reply, a malformed head, a missing
+    Content-Length or one over MAX_BODY_BYTES, and a body cut short.
+    """
+    head = read_head(rfile)
+    if head is None:
+        raise FieldFormatError("no HTTP reply")
+    version, status = _parse_status_line(head.start)
+    length = body_length(head.headers)
+    if length is None or length > MAX_BODY_BYTES:
+        raise FieldFormatError(f"reply needs a Content-Length of at most {MAX_BODY_BYTES}")
+    body = rfile.read(length)
+    if len(body) != length:
+        raise FieldFormatError("HTTP reply body cut short")
+    return status, head.headers, body, version == "HTTP/1.1" and not wants_close(head.headers)
+
+
+def render_request(host: str, target: str, headers: dict[str, str], body: bytes) -> bytes:
     """A POST request, head and body, as one buffer for one send."""
     lines = [f"POST {target} HTTP/1.1"]
     if header(headers, "Host") is None:
@@ -159,6 +187,75 @@ def _render_request(host: str, target: str, headers: dict[str, str], body: bytes
     if not all(_TOKEN.fullmatch(name) for name in headers):
         raise FieldFormatError(f"malformed request header name in {list(headers)!r}")
     return head + body
+
+
+_REASONS = {status.value: status.phrase for status in http.HTTPStatus}
+_date = (0, "")  # (second, its Date header line), shared by every connection
+_JSON_CLOSE = {"Content-Type": "application/json", "Connection": "close"}
+
+
+def _date_line(now: int) -> str:
+    """The reply's Date header line, formatted once per second."""
+    global _date
+    if _date[0] != now:
+        _date = (now, time.strftime("Date: %a, %d %b %Y %H:%M:%S GMT", time.gmtime(now)))
+    return _date[1]
+
+
+def serve_http(rfile: BinaryIO, wfile: BinaryIO, handler: Callable, clock: Clock) -> bool:
+    """Answer one request from ``rfile`` with one write to ``wfile``, dated by ``clock``.
+
+    ``handler(method, target, headers, body)`` returns (status, headers, body)
+    for a well-framed GET or POST. Bad framing gets 400, another method 501,
+    a body over MAX_BODY_BYTES 413, and a handler that raises a logged 500;
+    each closes the connection. Returns True while the connection stays open,
+    False without a reply when the stream ends before the request or its body.
+    """
+    try:
+        head = read_head(rfile)
+        if head is None:
+            return False
+        method, target, version = parse_request_line(head.start)
+        length = body_length(head.headers)
+    except FieldFormatError as exc:
+        return _refuse(wfile, clock, 400, str(exc))
+    if method not in ("GET", "POST"):
+        return _refuse(wfile, clock, 501, f"method {method} is not served")
+    if length is None and method == "POST":
+        return _refuse(wfile, clock, 400, "a POST needs a decimal Content-Length")
+    length = length or 0
+    if length > MAX_BODY_BYTES:
+        return _refuse(wfile, clock, 413, f"request bodies are limited to {MAX_BODY_BYTES} bytes")
+    body = rfile.read(length)
+    if len(body) != length:
+        return False  # the client hung up inside the body
+    try:
+        status, headers, payload = handler(method, target, head.headers, body)
+    except Exception:
+        # Last resort: a handler bug answers this request and closes its
+        # connection, and the server keeps serving.
+        logger.exception("ticket API failed on %s %s", method, target)
+        return _reply(wfile, clock, 500, _JSON_CLOSE, b'{"error": "InternalError"}')
+    if version != "HTTP/1.1" or wants_close(head.headers):
+        headers = {**headers, "Connection": "close"}
+    return _reply(wfile, clock, status, headers, payload)
+
+
+def _refuse(wfile: BinaryIO, clock: Clock, status: int, detail: str) -> bool:
+    # The body stays unread, so this connection cannot carry another request.
+    payload = json.dumps({"error": "FieldFormatError", "detail": detail}, sort_keys=True).encode()
+    return _reply(wfile, clock, status, _JSON_CLOSE, payload)
+
+
+def _reply(wfile: BinaryIO, clock: Clock, status: int, headers: dict[str, str], payload: bytes) -> bool:
+    """Write head and body at once; True while the connection stays open."""
+    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}"]
+    lines += [f"{key}: {value}" for key, value in headers.items()]
+    lines.append(f"Content-Length: {len(payload)}")
+    lines.append(_date_line(clock.now()))
+    lines.append("\r\n")
+    wfile.write("\r\n".join(lines).encode("latin-1") + payload)
+    return not wants_close(headers)
 
 
 class Network:
@@ -176,6 +273,15 @@ def parse_hostport(addr: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def split_url(url: str) -> tuple[str, str]:
+    """(host, request target) of an ``http://host[:port]/path`` URL."""
+    scheme, _, rest = url.partition("://")
+    host, _, path = rest.partition("/")
+    if scheme != "http" or not host:
+        raise FieldFormatError(f"ticket API URL must be http://host:port/..., got {url!r}")
+    return host, "/" + path
+
+
 class _HttpConnection:
     """One kept-alive HTTP/1.1 connection to a ticket-API host."""
 
@@ -183,10 +289,9 @@ class _HttpConnection:
         self.sock = socket.create_connection(parse_hostport(host), timeout=HTTP_TIMEOUT_S)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.rfile = self.sock.makefile("rb")
-        self.reusable = True
 
-    def exchange(self, request: bytes) -> Optional[tuple[int, dict[str, str], bytes]]:
-        """Send one request and read its reply.
+    def exchange(self, request: bytes) -> Optional[tuple[int, dict[str, str], bytes, bool]]:
+        """Send one request and read its reply, as ``read_reply`` returns it.
 
         Returns None when the server closed or reset the connection before
         a byte of reply: it never read the request, so sending it again is
@@ -198,18 +303,7 @@ class _HttpConnection:
                 return None
         except (ConnectionResetError, BrokenPipeError):
             return None
-        head = read_head(self.rfile)
-        if head is None:
-            return None
-        version, status = _parse_status_line(head.start)
-        length = body_length(head.headers)
-        if length is None or length > MAX_BODY_BYTES:
-            raise FieldFormatError(f"reply needs a Content-Length of at most {MAX_BODY_BYTES}")
-        body = self.rfile.read(length)
-        if len(body) != length:
-            raise FieldFormatError("HTTP reply body cut short")
-        self.reusable = version == "HTTP/1.1" and not wants_close(head.headers)
-        return status, head.headers, body
+        return read_reply(self.rfile)
 
     def close(self) -> None:
         self.rfile.close()
@@ -258,11 +352,8 @@ class SocketNetwork(Network):
     def http_post(
         self, url: str, headers: dict[str, str], body: bytes
     ) -> tuple[int, dict[str, str], bytes]:
-        scheme, _, rest = url.partition("://")
-        host, _, path = rest.partition("/")
-        if scheme != "http" or not host:
-            raise FieldFormatError(f"ticket API URL must be http://host:port/..., got {url!r}")
-        request = _render_request(host, "/" + path, headers, body)
+        host, target = split_url(url)
+        request = render_request(host, target, headers, body)
         conn = self._conns.http.pop(host, None)
         try:
             if conn is not None:
@@ -280,11 +371,11 @@ class SocketNetwork(Network):
             if conn is not None:
                 conn.close()
             raise Timeout(f"ticket API unreachable at {url}: {exc}") from exc
-        if conn.reusable:
+        if reply[3]:
             self._conns.http[host] = conn
         else:
             conn.close()
-        return reply
+        return reply[:3]
 
     def close(self) -> None:
         """Close the calling thread's sockets; later calls open new ones."""
@@ -294,18 +385,3 @@ class SocketNetwork(Network):
             conn.close()
         self._conns.udp.clear()
         self._conns.http.clear()
-
-
-def sim_http_payload(method: str, path: str, headers: dict[str, str], body: bytes) -> bytes:
-    """JSON envelope used to carry HTTP over the simulated transport."""
-    return json.dumps(
-        {"method": method, "path": path, "headers": headers, "body": body.decode("utf-8")},
-        sort_keys=True,
-    ).encode("utf-8")
-
-
-def sim_http_response(status: int, headers: dict[str, str], body: bytes) -> bytes:
-    return json.dumps(
-        {"status": status, "headers": headers, "body": body.decode("utf-8")},
-        sort_keys=True,
-    ).encode("utf-8")

@@ -1,5 +1,6 @@
 import pytest
 
+from kesic import net
 from kesic.harness.scenario import World
 from kesic.provision import ClientSpec, DeviceSpec, FleetSpec
 
@@ -30,3 +31,27 @@ def world() -> World:
 def cold_world() -> World:
     """Same fleet, but no device has synced yet."""
     return World.build(SMALL_FLEET, seed=1234)
+
+
+# Request heads the ticket API must refuse with 400, live and simulated.
+LONG = "a" * net.MAX_LINE_BYTES
+HOSTILE_HEADS = {
+    "long-start-line": f"GET /{LONG} HTTP/1.1\r\n\r\n",
+    "long-header-line": f"GET /healthz HTTP/1.1\r\nX-Long: {LONG}\r\n\r\n",
+    "too-many-headers": "GET /healthz HTTP/1.1\r\n"
+    + "".join(f"X-{i}: v\r\n" for i in range(net.MAX_HEADERS + 1))
+    + "\r\n",
+    "obs-fold": "GET /healthz HTTP/1.1\r\nX-Folded: a\r\n b\r\n\r\n",
+    "no-colon": "GET /healthz HTTP/1.1\r\nHost isv\r\n\r\n",
+    "space-before-colon": "GET /healthz HTTP/1.1\r\nHost : isv\r\n\r\n",
+    "two-part-request-line": "GET /healthz\r\n\r\n",
+    "double-space-request-line": "GET  /healthz HTTP/1.1\r\n\r\n",
+    "empty-request-line": "\r\n\r\n",
+    "http-2": "GET /healthz HTTP/2.0\r\n\r\n",
+    "lower-case-version": "GET /healthz http/1.1\r\n\r\n",
+    "bare-cr": "GET /healthz HTTP/1.1\r\nX-A: b\rc\r\n\r\n",
+    "two-content-lengths": "POST /ticket HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\n",
+    "chunked": "POST /ticket HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+    "eof-inside-head": "GET /healthz HTTP/1.1\r\nHost: isv\r\n",
+    "eof-inside-start-line": "GET /heal",
+}

@@ -10,6 +10,8 @@ import pytest
 
 from kesic import daemon, net
 
+from conftest import HOSTILE_HEADS
+
 
 @pytest.fixture
 def ticket_server(cold_world):
@@ -33,13 +35,8 @@ def send_head(sock, head: str) -> tuple[int, dict]:
 
 
 def read_reply(reader) -> tuple[int, dict]:
-    status = int(reader.readline().split()[1])
-    length = 0
-    while (line := reader.readline()) not in (b"\r\n", b""):
-        name, _, value = line.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            length = int(value)
-    return status, json.loads(reader.read(length))
+    status, _, body, _ = net.read_reply(reader)
+    return status, json.loads(body)
 
 
 def http_exchange(addr, head: str) -> tuple[int, dict]:
@@ -68,7 +65,7 @@ def test_malformed_content_length_is_400(ticket_server, length_header):
 
 @pytest.mark.parametrize(
     "length",
-    [str(daemon.MAX_BODY_BYTES + 1), str(10**12), "9" * 5000],
+    [str(net.MAX_BODY_BYTES + 1), str(10**12), "9" * 5000],
     ids=["cap-plus-one", "terabyte", "5000-digits"],
 )
 def test_oversized_content_length_is_413_without_reading_the_body(ticket_server, length):
@@ -76,29 +73,6 @@ def test_oversized_content_length_is_413_without_reading_the_body(ticket_server,
     head = f"POST /ticket HTTP/1.1\r\nHost: isv\r\nContent-Length: {length}\r\n"
     status, obj = refused_exchange(ticket_server, head)
     assert (status, obj["error"]) == (413, "FieldFormatError")
-
-
-LONG = "a" * net.MAX_LINE_BYTES
-HOSTILE_HEADS = {
-    "long-start-line": f"GET /{LONG} HTTP/1.1\r\n\r\n",
-    "long-header-line": f"GET /healthz HTTP/1.1\r\nX-Long: {LONG}\r\n\r\n",
-    "too-many-headers": "GET /healthz HTTP/1.1\r\n"
-    + "".join(f"X-{i}: v\r\n" for i in range(net.MAX_HEADERS + 1))
-    + "\r\n",
-    "obs-fold": "GET /healthz HTTP/1.1\r\nX-Folded: a\r\n b\r\n\r\n",
-    "no-colon": "GET /healthz HTTP/1.1\r\nHost isv\r\n\r\n",
-    "space-before-colon": "GET /healthz HTTP/1.1\r\nHost : isv\r\n\r\n",
-    "two-part-request-line": "GET /healthz\r\n\r\n",
-    "double-space-request-line": "GET  /healthz HTTP/1.1\r\n\r\n",
-    "empty-request-line": "\r\n\r\n",
-    "http-2": "GET /healthz HTTP/2.0\r\n\r\n",
-    "lower-case-version": "GET /healthz http/1.1\r\n\r\n",
-    "bare-cr": "GET /healthz HTTP/1.1\r\nX-A: b\rc\r\n\r\n",
-    "two-content-lengths": "POST /ticket HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\n",
-    "chunked": "POST /ticket HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
-    "eof-inside-head": "GET /healthz HTTP/1.1\r\nHost: isv\r\n",
-    "eof-inside-start-line": "GET /heal",
-}
 
 
 def read_refusal(sock) -> tuple[int, dict]:
@@ -160,7 +134,7 @@ def test_handler_failure_is_a_500_and_the_server_keeps_serving(ticket_server, co
     head = "GET /healthz HTTP/1.1\r\nHost: isv\r\n"
     with monkeypatch.context() as patch:
         patch.setattr(cold_world.isv.tickets, "handle_http", broken)
-        with caplog.at_level(logging.ERROR, logger="kesic.daemon"):
+        with caplog.at_level(logging.ERROR, logger="kesic.net"):
             assert refused_exchange(ticket_server, head) == (500, {"error": "InternalError"})
     assert any(r.exc_info and r.exc_info[0] is RuntimeError for r in caplog.records)
     assert http_exchange(ticket_server, head) == (200, {"ok": True})

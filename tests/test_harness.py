@@ -1,13 +1,18 @@
 """Message fabric, scenario runner, attack catalogue and live topology."""
 
 import copy
+import functools
 import gc
+import io
 import json
 import os
+import re
 import socket
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kesic
 from kesic.errors import PortInUse, ScriptError, Timeout
@@ -17,6 +22,9 @@ from kesic.harness.live import LiveTopology, run_live_scenario
 from kesic.harness.scenario import World, run_scenario
 from kesic.harness.transport import SimNetwork, VirtualTransport
 from kesic.harness import simcli
+from kesic.net import read_reply
+
+from conftest import HOSTILE_HEADS
 
 TINY_FLEET = {
     "clients": [{"name": "alice", "password": "correct-horse-battery-9"}],
@@ -199,14 +207,112 @@ class TestWorld:
             if was_enabled:
                 gc.enable()
 
-    def test_malformed_http_envelope_gets_a_400(self):
+    def test_one_ticket_fetch_reads_one_request_head_and_one_reply_head(self, monkeypatch):
+        """The fabric carries the live framing: a simulated fetch parses one
+        HTTP/1.1 request at the server and one reply at the client."""
         world = World.build(TINY_FLEET, seed=5)
-        inbox = make_sink(world.transport, "probe")
-        bad_body = b'{"method": "POST", "path": "/ticket", "headers": {}, "body": 7}'
-        for payload in (b"[" * 60000, b"\xff", b"[]", b'{"method": 1}', bad_body):
-            world.transport.send("probe", "isv:http", payload)
-            world.transport.pump()
-            assert json.loads(inbox.pop())["status"] == 400
+        world.clients["alice"].login("correct-horse-battery-9")
+        read_head, starts = kesic.net.read_head, []
+
+        def recording(rfile):
+            starts.append(rfile.getvalue()[:13])
+            return read_head(rfile)
+
+        monkeypatch.setattr(kesic.net, "read_head", recording)
+        world.clients["alice"].get_iot_ticket("bulb")
+        assert starts == [b"POST /ticket ", b"HTTP/1.1 200 "]
+        frames = [bytes.fromhex(e["data"]) for e in world.transport.transcript if e["dst"] == "isv:http"]
+        assert len(frames) == 1 and frames[0].startswith(b"POST /ticket HTTP/1.1\r\n")
+
+
+def new_ticket_fabric():
+    """A world whose ticket API answers frames from "probe", and a ticket
+    request with an authenticator the server has not seen yet."""
+    world = World.build(TINY_FLEET, seed=5)
+    inbox = make_sink(world.transport, "probe")
+    world.clients["alice"].login("correct-horse-battery-9")
+    world.transport.drop_next(dst="isv:http")
+    with pytest.raises(Timeout):
+        world.clients["alice"].get_iot_ticket("bulb")
+    request = bytes.fromhex(world.transport.transcript[-1]["data"])
+    assert request.startswith(b"POST /ticket HTTP/1.1\r\n")
+    return world, inbox, request
+
+
+@pytest.fixture(scope="module")
+def ticket_fabric():
+    return new_ticket_fabric()
+
+
+def serve_frame(fabric, raw: bytes) -> list[bytes]:
+    """The frames the simulated ticket API sends back for one request frame."""
+    world, inbox, _ = fabric
+    inbox.clear()
+    world.transport.send("probe", "isv:http", raw)
+    world.transport.pump()
+    return list(inbox)
+
+
+def only_reply(frames: list[bytes]) -> tuple[int, dict[str, str], bytes]:
+    """The one reply in ``frames``, which must hold nothing else."""
+    assert len(frames) == 1
+    rfile = io.BytesIO(frames[0])
+    status, headers, body, _ = read_reply(rfile)
+    assert rfile.read() == b""
+    return status, headers, body
+
+
+def mutations(base: bytes):
+    """``base`` with a few bytes flipped, cut, inserted or truncated."""
+
+    def apply(data: bytes, edit: tuple) -> bytes:
+        kind, at, arg = edit
+        at %= len(data) + 1
+        if kind == "flip":
+            return data[:at] + bytes([data[at] ^ arg[0]]) + data[at + 1 :] if at < len(data) else data
+        if kind == "cut":
+            return data[:at] + data[at + len(arg) :]
+        if kind == "insert":
+            return data[:at] + arg + data[at:]
+        return data[:at]
+
+    edits = st.lists(
+        st.tuples(
+            st.sampled_from(["flip", "cut", "insert", "truncate"]),
+            st.integers(0, len(base)),
+            st.binary(min_size=1, max_size=8),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+    return edits.map(lambda steps: functools.reduce(apply, steps, base))
+
+
+class TestSimulatedTicketApi:
+    """The simulated ticket API runs the daemon's framing on HTTP/1.1 bytes."""
+
+    @pytest.mark.parametrize("raw", HOSTILE_HEADS.values(), ids=HOSTILE_HEADS.keys())
+    def test_hostile_head_gets_the_live_400_and_a_close(self, ticket_fabric, raw):
+        status, headers, body = only_reply(serve_frame(ticket_fabric, raw.encode("latin-1")))
+        assert (status, headers["Connection"]) == (400, "close")
+        assert json.loads(body)["error"] == "FieldFormatError"
+
+    def test_json_bomb_body_gets_a_400(self):
+        fabric = new_ticket_fabric()  # its authenticator must be fresh
+        head, _, _ = fabric[2].partition(b"\r\n\r\n")
+        head = re.sub(rb"Content-Length: \d+", b"Content-Length: 60000", head)
+        status, _, body = only_reply(serve_frame(fabric, head + b"\r\n\r\n" + b"[" * 60000))
+        reply = json.loads(body)
+        assert (status, reply["error"]) == (400, "FieldFormatError")
+        assert reply["detail"].startswith("ticket request is not JSON")  # the body parser, past the framing
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_any_frame_gets_no_reply_or_one_well_formed_reply(self, ticket_fabric, data):
+        raw = data.draw(st.binary(max_size=300) | mutations(ticket_fabric[2]))
+        frames = serve_frame(ticket_fabric, raw)
+        if frames:
+            assert only_reply(frames)[0] != 500
 
 
 HAPPY_SCRIPT = {

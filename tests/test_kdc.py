@@ -18,6 +18,8 @@ from kesic.errors import (
     TicketExpired,
     UnknownPrincipal,
 )
+from kesic.device import DeviceProfile
+from kesic.isv import IsvConfig
 from kesic.provision import provision
 from kesic.rng import Rng
 
@@ -275,6 +277,35 @@ class TestDatagramLayer:
         assert a["error"] == b["error"] == "UnknownPrincipal"
 
 
+NOT_BASE64 = "not base64!"
+SHORT_KEY = base64.b64encode(bytes(16)).decode("ascii")
+CONFIGS = {
+    "kdc": (lambda fleet: fleet.kdc_json(), kdc.PrincipalDb.from_json_obj),
+    "isv": (lambda fleet: fleet.isv_json(), IsvConfig.from_json_obj),
+    "device": (
+        lambda fleet: fleet.device_json("bulb"),
+        lambda obj: DeviceProfile.from_json_obj(obj, memory=b"", isv_sync_addr=None, isv_attest_addr=None),
+    ),
+}
+KEY_SITES = [  # (id, config, path to the entry, field, the entry as the error names it)
+    ("tgs_key", "kdc", (), "tgs_key", "KDC database"),
+    ("service-key", "kdc", ("services",), "isv", "KDC services"),
+    ("isv-service_key", "isv", (), "service_key", "IoT server config"),
+    ("isv-kl_sync", "isv", ("devices", "bulb"), "kl_sync", "device 'bulb'"),
+    ("device-kl_sync", "device", (), "kl_sync", "device profile 'bulb'"),
+]
+KEY_CASES = [
+    # A database written before keys were stored has no 'key' field.
+    pytest.param("kdc", ("clients", "alice"), "key", None, "client 'alice': no 'key' field", id="password-only"),
+    pytest.param("kdc", ("clients", "alice"), "key", NOT_BASE64, "client 'alice': bad 'key' field", id="not-base64"),
+    pytest.param("kdc", ("clients", "alice"), "key", SHORT_KEY, "client 'alice': bad 'key' field", id="wrong-length"),
+] + [
+    pytest.param(config, path, name, value, f"{entry}: bad '{name}' field", id=f"{site}-{kind}")
+    for site, config, path, name, entry in KEY_SITES
+    for kind, value in (("not-base64", NOT_BASE64), ("wrong-length", SHORT_KEY))
+]
+
+
 class TestPrincipalDb:
     def test_json_roundtrip(self, setup):
         _, rng, fleet, _ = setup
@@ -316,22 +347,21 @@ class TestPrincipalDb:
             obj["clients"]["user999"]["key"], KeyRole.PASSWORD
         )
 
-    @pytest.mark.parametrize(
-        "entry, message",
-        [
-            # A database written before keys were stored holds the password.
-            ({"password": PASSWORD}, "no 'key' field"),
-            ({"key": "not base64!"}, "bad 'key' field"),
-            ({"key": base64.b64encode(bytes(16)).decode("ascii")}, "bad 'key' field"),
-        ],
-        ids=["password-only", "not-base64", "wrong-length"],
-    )
-    def test_bad_client_key_is_a_named_error(self, setup, entry, message):
+    @pytest.mark.parametrize("config, path, name, value, message", KEY_CASES)
+    def test_bad_client_key_is_a_named_error(self, setup, config, path, name, value, message):
+        """Every key in every config file is checked on load, naming its entry and field."""
         _, _, fleet, _ = setup
-        obj = fleet.kdc_json()
-        obj["clients"]["alice"] = {"ad_c": 2001, "services": ["isv"], **entry}
-        with pytest.raises(FieldFormatError, match=f"client 'alice': {message}"):
-            kdc.PrincipalDb.from_json_obj(obj)
+        read, load = CONFIGS[config]
+        obj = read(fleet)
+        target = obj
+        for key in path:
+            target = target[key]
+        if value is None:
+            del target[name]
+        else:
+            target[name] = value
+        with pytest.raises(FieldFormatError, match=message):
+            load(obj)
 
 
 class TestKdcConfigFile:

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kesic import daemon, net
+from kesic.clock import SystemClock
 from kesic.errors import FieldFormatError, Timeout
 
 
@@ -63,7 +64,7 @@ def serve():
 
     def start(handler=daemon._TicketHttpHandler, tickets=None) -> CountingServer:
         server = CountingServer(handler)
-        server.isv = types.SimpleNamespace(tickets=tickets or EchoTickets())
+        server.isv = types.SimpleNamespace(tickets=tickets or EchoTickets(), clock=SystemClock())
         thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
         thread.start()
         running.append((server, thread))
@@ -173,7 +174,7 @@ class TestHttp:
     def test_refusal_closes_and_the_next_post_reconnects(self, serve, network):
         server = serve()
         status, headers, _ = network.http_post(
-            server.url, {"Content-Length": str(daemon.MAX_BODY_BYTES + 1)}, b""
+            server.url, {"Content-Length": str(net.MAX_BODY_BYTES + 1)}, b""
         )
         assert (status, headers["Connection"]) == (413, "close")
         assert network.http_post(server.url, {}, b"ok")[0::2] == (200, b"ok")
