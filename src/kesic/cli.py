@@ -43,7 +43,7 @@ from .errors import (
     error_name,
 )
 from .net import SocketNetwork
-from .rng import Rng
+from .wire import parse_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -114,13 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="credential cache path (default: ./<name>.cache.json)",
     )
-    parser.add_argument(
-        "--deterministic-seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="seed nonce generation for reproducible runs",
-    )
 
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -148,16 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _session(args: argparse.Namespace) -> ClientSession:
-    with open(args.identity, "r", encoding="utf-8") as fh:
+    with open(args.identity, "rb") as fh:
         config = ClientConfig.from_json_obj(
-            json.load(fh),
+            parse_json(fh.read(), args.identity),
             kdc_addr=args.kdc_addr,
             isv_url=args.isv_url,
             device_addrs=_parse_device_addrs(args.device_addr),
         )
     cache_path = args.cache if args.cache else f"{config.name}.cache.json"
-    rng = Rng(args.deterministic_seed) if args.deterministic_seed is not None else Rng()
-    return ClientSession(config, SocketNetwork(), rng=rng, cache_path=cache_path)
+    return ClientSession(config, SocketNetwork(), cache_path=cache_path)
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -70,10 +70,11 @@ class ClientConfig:
         cls, obj: dict, kdc_addr: object, isv_url: str, device_addrs: dict[str, object]
     ) -> "ClientConfig":
         """A config from a provisioned identity object (name, id_c, ad_c)."""
+        read = kdc.ConfigReader("client identity", obj)
         return cls(
-            name=obj["name"],
-            id_c=int(obj["id_c"]),
-            ad_c=int(obj["ad_c"]),
+            name=read.text("name"),
+            id_c=read.integer("id_c"),
+            ad_c=read.integer("ad_c"),
             kdc_addr=kdc_addr,
             isv_url=isv_url,
             device_addrs=device_addrs,

@@ -9,7 +9,6 @@ request/response except the ticket API, which is plain HTTP.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import socket
 import socketserver
@@ -21,7 +20,7 @@ from .device import DEVICE_CLASSES, DeviceProfile
 from .isv import Isv, IsvConfig
 from .kdc import Kdc
 from .net import _RECV_SIZE, parse_hostport, serve_http
-from .rng import Rng
+from .wire import parse_json
 
 logger = logging.getLogger(__name__)
 
@@ -41,9 +40,9 @@ def _announce_ready(what: str) -> None:
     print(f"READY {what}", flush=True)
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path: str) -> object:
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), path)
 
 
 # --- KDC ----------------------------------------------------------------------
@@ -53,11 +52,9 @@ def kdc_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="kesic-kdc", description="Kerberos KDC (UDP)")
     parser.add_argument("--db", required=True, help="principals and ticket policy JSON")
     parser.add_argument("--port", type=int, default=8750)
-    parser.add_argument("--deterministic-seed", type=int, default=None)
     args = parser.parse_args(argv)
 
-    rng = Rng(args.deterministic_seed) if args.deterministic_seed is not None else Rng()
-    center = Kdc.from_json_obj(_load_json(args.db), rng=rng)
+    center = Kdc.from_json_obj(_load_json(args.db))
 
     def handle(data: bytes, src, send) -> None:
         send(src, center.handle_datagram(data, src))
@@ -143,12 +140,10 @@ def isv_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sync-port", type=int, default=8752)
     parser.add_argument("--attest-port", type=int, default=8753)
     parser.add_argument("--state", default=None, help="counter journal (created if missing)")
-    parser.add_argument("--deterministic-seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     config, records = IsvConfig.from_json_obj(_load_json(args.devices))
-    rng = Rng(args.deterministic_seed) if args.deterministic_seed is not None else Rng()
-    isv = Isv(config, records, rng=rng, state_path=args.state)
+    isv = Isv(config, records, state_path=args.state)
 
     sync_sock = _bind_udp(args.sync_port)
     attest_sock = _bind_udp(args.attest_port)

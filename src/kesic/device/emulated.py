@@ -30,24 +30,24 @@ NOT_SYNCED_TOKEN = b"ERR NOT_SYNCED"
 
 
 class _DeviceBase:
+    dtype: str
+    ROT: type
     SERVICE_FRAME: type
     SUPPORTED_CMDS: frozenset[str]
 
     def __init__(self, profile: DeviceProfile, clock: Clock) -> None:
+        if profile.dtype != self.dtype:
+            raise ValueError(f"profile {profile.name} is not a {self.dtype} device")
         # Keys go straight into the RoT; the profile is not retained, so the
         # non-secure object tree holds no key material.
         self.name = profile.name
         self.id_dev = profile.id_dev
-        self.dtype = profile.dtype
         self.led = False
         self.memory = bytearray(profile.memory)
         self.events: list[dict] = []
         self._isv_sync_addr = profile.isv_sync_addr
         self._isv_attest_addr = profile.isv_attest_addr
-        self._rot = self._build_rot(profile, clock)
-
-    def _build_rot(self, profile: DeviceProfile, clock: Clock):
-        raise NotImplementedError
+        self._rot = self.ROT(profile, clock)
 
     def _event(self, event: str, **extra) -> None:
         self.events.append({"actor": f"dev:{self.name}", "event": event, **extra})
@@ -116,43 +116,19 @@ class _DeviceBase:
 class GeneralDevice(_DeviceBase):
     """Always-on device: LED plus attestation-as-a-service."""
 
+    dtype = GENERAL
+    ROT = GeneralRot
     SERVICE_FRAME = wire.ServiceRequestG
     SUPPORTED_CMDS = frozenset({wire.CMD_LED_ON, wire.CMD_LED_OFF, wire.CMD_ATTEST})
-
-    def _build_rot(self, profile: DeviceProfile, clock: Clock) -> GeneralRot:
-        if profile.dtype != GENERAL:
-            raise ValueError(f"profile {profile.name} is not a general device")
-        return GeneralRot(
-            profile.id_dev,
-            profile.id_isv,
-            profile.kl_sync,
-            profile.kl_tkt,
-            profile.kl_key,
-            clock,
-            state_path=profile.state_path,
-            freshness_window=profile.freshness_window,
-        )
 
 
 class PowerDevice(_DeviceBase):
     """Duty-cycled device: wakes, attests under challenge, serves, sleeps."""
 
+    dtype = POWER
+    ROT = PowerRot
     SERVICE_FRAME = wire.ServiceRequestPC
     SUPPORTED_CMDS = frozenset({wire.CMD_LED_ON, wire.CMD_LED_OFF})
-
-    def _build_rot(self, profile: DeviceProfile, clock: Clock) -> PowerRot:
-        if profile.dtype != POWER:
-            raise ValueError(f"profile {profile.name} is not a power-constrained device")
-        return PowerRot(
-            profile.id_dev,
-            profile.id_isv,
-            profile.kl_sync,
-            profile.kl_tkt,
-            profile.kl_key,
-            clock,
-            state_path=profile.state_path,
-            window=profile.window,
-        )
 
     def wake(self, send) -> None:
         self._event("wake")
@@ -181,4 +157,4 @@ class PowerDevice(_DeviceBase):
 
 
 # The emulated device class for each provisioned device type.
-DEVICE_CLASSES = {GENERAL: GeneralDevice, POWER: PowerDevice}
+DEVICE_CLASSES = {cls.dtype: cls for cls in (GeneralDevice, PowerDevice)}

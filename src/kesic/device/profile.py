@@ -5,11 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto import KeyRole, SymmetricKey
-from ..kdc import DEFAULT_CLOCK_SKEW, config_key
+from ..kdc import ConfigReader
 
 GENERAL = "general"
 POWER = "power"
-DEFAULT_WINDOW = 16  # power-device counter tickets valid per wake cycle
+DEVICE_TYPES = (GENERAL, POWER)
+
+
+def device_type(value: object) -> str:
+    """A config's device ``type``; anything but GENERAL or POWER is a ValueError."""
+    if value not in DEVICE_TYPES:
+        raise ValueError(f"{value!r} is not {GENERAL!r} or {POWER!r}")
+    return value
 
 
 @dataclass
@@ -24,8 +31,8 @@ class DeviceProfile:
     memory: bytes
     isv_sync_addr: object
     isv_attest_addr: object
-    window: int = DEFAULT_WINDOW
-    freshness_window: int = DEFAULT_CLOCK_SKEW
+    window: int  # power-device counter tickets valid per wake cycle
+    freshness_window: int  # general-device request freshness, seconds
     state_path: str | None = None
 
     @classmethod
@@ -37,19 +44,20 @@ class DeviceProfile:
         isv_attest_addr: object,
         state_path: str | None = None,
     ) -> "DeviceProfile":
-        entry = f"device profile {obj['name']!r}"
+        read = ConfigReader("device profile", obj)
+        read = ConfigReader(f"device profile {read.text('name')!r}", obj)
         return cls(
-            name=obj["name"],
-            id_dev=int(obj["id_dev"]),
-            dtype=obj["type"],
-            id_isv=int(obj["id_isv"]),
-            kl_sync=config_key(entry, obj, "kl_sync", KeyRole.LT_SYNC),
-            kl_tkt=config_key(entry, obj, "kl_tkt", KeyRole.LT_TICKET),
-            kl_key=config_key(entry, obj, "kl_key", KeyRole.LT_SESSKEY),
+            name=read.text("name"),
+            id_dev=read.integer("id_dev"),
+            dtype=read.field("type", device_type),
+            id_isv=read.integer("id_isv"),
+            kl_sync=read.key("kl_sync", KeyRole.LT_SYNC),
+            kl_tkt=read.key("kl_tkt", KeyRole.LT_TICKET),
+            kl_key=read.key("kl_key", KeyRole.LT_SESSKEY),
             memory=memory,
             isv_sync_addr=isv_sync_addr,
             isv_attest_addr=isv_attest_addr,
-            window=int(obj.get("window", DEFAULT_WINDOW)),
-            freshness_window=int(obj.get("freshness_window", DEFAULT_CLOCK_SKEW)),
+            window=read.integer("window"),
+            freshness_window=read.integer("freshness_window"),
             state_path=state_path,
         )

@@ -19,8 +19,9 @@ from .. import crypto, wire
 from ..clock import Clock
 from ..crypto import KeyRole, SymmetricKey
 from ..durable import atomic_write
-from ..errors import NotSynced, ReplayDetected
+from ..errors import CorruptState, NotSynced, ReplayDetected
 from ..kdc import ReplayCache
+from .profile import DeviceProfile
 
 __all__ = ["Verdict", "RotBase", "GeneralRot", "PowerRot"]
 
@@ -36,25 +37,17 @@ class Verdict(enum.Enum):
 class RotBase:
     """Shared sync machinery; subclasses add the service phase."""
 
-    def __init__(
-        self,
-        id_dev: int,
-        id_isv: int,
-        kl_sync: SymmetricKey,
-        kl_tkt: SymmetricKey,
-        kl_key: SymmetricKey,
-        clock: Clock,
-        state_path: str | None = None,
-    ) -> None:
-        self._id_dev = id_dev
+    def __init__(self, profile: DeviceProfile, clock: Clock) -> None:
+        # The keys are copied out; the profile itself is not kept.
+        self._id_dev = profile.id_dev
         # ID_dev as it ends every ticket input, rendered once.
-        self._id_dev_field = wire.render(wire.FieldKind.NUMERIC_ID, wire.ID_WIDTH, id_dev).encode()
-        self._id_isv = id_isv
-        self._kl_sync = kl_sync
-        self._kl_tkt = kl_tkt
-        self._kl_key = kl_key
+        self._id_dev_field = wire.render(wire.FieldKind.NUMERIC_ID, wire.ID_WIDTH, self._id_dev).encode()
+        self._id_isv = profile.id_isv
+        self._kl_sync = profile.kl_sync
+        self._kl_tkt = profile.kl_tkt
+        self._kl_key = profile.kl_key
         self._clock = clock
-        self._state_path = state_path
+        self._state_path = profile.state_path
         self._co_sync = self._load_co_sync()
         self._pending_co_sync: int | None = None
         self._synced = False
@@ -62,10 +55,17 @@ class RotBase:
     # --- persistent counter ------------------------------------------------------
 
     def _load_co_sync(self) -> int:
-        if self._state_path and os.path.exists(self._state_path):
-            with open(self._state_path, "r", encoding="utf-8") as fh:
-                return int(json.load(fh)["co_sync"])
-        return 0
+        if not (self._state_path and os.path.exists(self._state_path)):
+            return 0
+        with open(self._state_path, "rb") as fh:
+            data = fh.read()
+        try:
+            co_sync = json.loads(data)["co_sync"]
+        except (ValueError, KeyError, TypeError):
+            co_sync = None
+        if isinstance(co_sync, bool) or not isinstance(co_sync, int) or co_sync < 0:
+            raise CorruptState(f'{self._state_path} is not a {{"co_sync": <non-negative int>}} file')
+        return co_sync
 
     def _persist_co_sync(self) -> None:
         if self._state_path:
@@ -126,9 +126,9 @@ class GeneralRot(RotBase):
     instants, not nonces).
     """
 
-    def __init__(self, *args, freshness_window: int, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._freshness_window_us = freshness_window * 1_000_000
+    def __init__(self, profile: DeviceProfile, clock: Clock) -> None:
+        super().__init__(profile, clock)
+        self._freshness_window_us = profile.freshness_window * 1_000_000
         self._start_us = 0
         self._timer_origin = 0.0
         self._replay = ReplayCache(self._freshness_window_us)
@@ -181,9 +181,9 @@ class GeneralRot(RotBase):
 class PowerRot(RotBase):
     """Duty-cycled device core: counter window, single-use counter tickets."""
 
-    def __init__(self, *args, window: int, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._window = window
+    def __init__(self, profile: DeviceProfile, clock: Clock) -> None:
+        super().__init__(profile, clock)
+        self._window = profile.window
         self._base: int | None = None
         self._used = 0  # bitmask over (base, base + window]
 

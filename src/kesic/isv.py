@@ -52,15 +52,12 @@ from .errors import (
     WireError,
     error_name,
 )
-from .device.profile import GENERAL
-from .kdc import DEFAULT_CLOCK_SKEW, ReplayCache, config_key, verify_ap
+from .device.profile import GENERAL, device_type
+from .kdc import ConfigReader, ReplayCache, verify_ap
 from .net import header
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_IOT_TICKET_LIFETIME = 600
-DEFAULT_ATTEST_TIMEOUT = 30
 
 _HTTP_STATUS = {
     "KerberosAuthFailure": 401,
@@ -205,20 +202,14 @@ class SyncManager:
     """Device-facing UDP handlers: counter/time sync and attestation reports."""
 
     def __init__(
-        self,
-        registry: DeviceRegistry,
-        id_isv: int,
-        clock: Clock,
-        rng: Rng,
-        events: list,
-        attest_timeout: int,
+        self, registry: DeviceRegistry, config: IsvConfig, clock: Clock, rng: Rng, events: list
     ) -> None:
         self.registry = registry
-        self.id_isv = id_isv
+        self.id_isv = config.id_isv
         self.clock = clock
         self.rng = rng
         self.events = events
-        self.attest_timeout = attest_timeout
+        self.attest_timeout = config.attest_timeout
         self.pending: dict[int, _PendingAttest] = {}
         self._lock = threading.Lock()
 
@@ -338,27 +329,18 @@ class TicketManager:
     """HTTP JSON API issuing device tickets to Kerberos-authenticated clients."""
 
     def __init__(
-        self,
-        registry: DeviceRegistry,
-        kerberos_id: str,
-        service_key: SymmetricKey,
-        users: dict[str, tuple[int, int]],  # user name -> (id_c, ad_c)
-        clock: Clock,
-        rng: Rng,
-        events: list,
-        iot_ticket_lifetime: int,
-        clock_skew: int,
+        self, registry: DeviceRegistry, config: IsvConfig, clock: Clock, rng: Rng, events: list
     ) -> None:
         self.registry = registry
-        self.kerberos_id = kerberos_id
-        self.service_key = service_key
-        self.users = users
+        self.kerberos_id = config.kerberos_id
+        self.service_key = config.service_key
+        self.users = config.users
         self.clock = clock
         self.rng = rng
         self.events = events
-        self.iot_ticket_lifetime = iot_ticket_lifetime
-        self.clock_skew = clock_skew
-        self._replay = ReplayCache(clock_skew * 1_000_000)
+        self.iot_ticket_lifetime = config.iot_ticket_lifetime
+        self.clock_skew = config.clock_skew
+        self._replay = ReplayCache(config.clock_skew * 1_000_000)
 
     def _event(self, event: str, **extra) -> None:
         self.events.append({"actor": "isv", "event": event, **extra})
@@ -456,42 +438,50 @@ class TicketManager:
         return sealed, kind
 
 
+def _sha256_hex(value: object) -> bytes:
+    if not isinstance(value, str) or not re.fullmatch("[0-9a-fA-F]{64}", value):
+        raise ValueError(f"{value!r} is not 64 hex characters")
+    return bytes.fromhex(value)
+
+
 @dataclass
 class IsvConfig:
     kerberos_id: str
     id_isv: int
     service_key: SymmetricKey
-    users: dict[str, tuple[int, int]]
-    iot_ticket_lifetime: int = DEFAULT_IOT_TICKET_LIFETIME
-    attest_timeout: int = DEFAULT_ATTEST_TIMEOUT
-    clock_skew: int = DEFAULT_CLOCK_SKEW
+    users: dict[str, tuple[int, int]]  # user name -> (id_c, ad_c)
+    iot_ticket_lifetime: int
+    attest_timeout: int
+    clock_skew: int
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> tuple["IsvConfig", list[DeviceRecord]]:
+        read = ConfigReader("IoT server config", obj)
         cfg = cls(
-            kerberos_id=obj["kerberos_id"],
-            id_isv=int(obj["id_isv"]),
-            service_key=config_key("IoT server config", obj, "service_key", KeyRole.PASSWORD),
-            users={name: (int(u["id_c"]), int(u["ad_c"])) for name, u in obj["users"].items()},
-            iot_ticket_lifetime=int(obj.get("iot_ticket_lifetime", DEFAULT_IOT_TICKET_LIFETIME)),
-            attest_timeout=int(obj.get("attest_timeout", DEFAULT_ATTEST_TIMEOUT)),
-            clock_skew=int(obj.get("clock_skew", DEFAULT_CLOCK_SKEW)),
+            kerberos_id=read.text("kerberos_id"),
+            id_isv=read.integer("id_isv"),
+            service_key=read.key("service_key", KeyRole.PASSWORD),
+            users={
+                name: (user.integer("id_c"), user.integer("ad_c"))
+                for name, user in read.entries("users", "user").items()
+            },
+            iot_ticket_lifetime=read.integer("iot_ticket_lifetime"),
+            attest_timeout=read.integer("attest_timeout"),
+            clock_skew=read.integer("clock_skew"),
         )
-        records = []
-        for name, dev in obj["devices"].items():
-            entry = f"device {name!r}"
-            records.append(
-                DeviceRecord(
-                    name=name,
-                    id_dev=int(dev["id_dev"]),
-                    dtype=dev["type"],
-                    kl_sync=config_key(entry, dev, "kl_sync", KeyRole.LT_SYNC),
-                    kl_tkt=config_key(entry, dev, "kl_tkt", KeyRole.LT_TICKET),
-                    kl_key=config_key(entry, dev, "kl_key", KeyRole.LT_SESSKEY),
-                    allow=frozenset(dev["allow"]),
-                    ref_memory_hash=bytes.fromhex(dev["memory_sha256"]),
-                )
+        records = [
+            DeviceRecord(
+                name=name,
+                id_dev=dev.integer("id_dev"),
+                dtype=dev.field("type", device_type),
+                kl_sync=dev.key("kl_sync", KeyRole.LT_SYNC),
+                kl_tkt=dev.key("kl_tkt", KeyRole.LT_TICKET),
+                kl_key=dev.key("kl_key", KeyRole.LT_SESSKEY),
+                allow=dev.names("allow"),
+                ref_memory_hash=dev.field("memory_sha256", _sha256_hex),
             )
+            for name, dev in read.entries("devices", "device").items()
+        ]
         return cfg, records
 
 
@@ -511,22 +501,5 @@ class Isv:
         self.rng = rng or Rng()
         self.events: list[dict] = []
         self.registry = DeviceRegistry(records, state_path=state_path)
-        self.sync = SyncManager(
-            self.registry,
-            config.id_isv,
-            self.clock,
-            self.rng,
-            self.events,
-            attest_timeout=config.attest_timeout,
-        )
-        self.tickets = TicketManager(
-            self.registry,
-            config.kerberos_id,
-            config.service_key,
-            config.users,
-            self.clock,
-            self.rng,
-            self.events,
-            iot_ticket_lifetime=config.iot_ticket_lifetime,
-            clock_skew=config.clock_skew,
-        )
+        self.sync = SyncManager(self.registry, config, self.clock, self.rng, self.events)
+        self.tickets = TicketManager(self.registry, config, self.clock, self.rng, self.events)

@@ -53,9 +53,6 @@ from .rng import Rng
 logger = logging.getLogger(__name__)
 
 DEFAULT_TGS_ID = "tgs"
-DEFAULT_TGT_LIFETIME = 10 * 3600
-DEFAULT_ST_LIFETIME = 3600
-DEFAULT_CLOCK_SKEW = 300
 
 
 def key_b64(key: SymmetricKey) -> str:
@@ -87,31 +84,68 @@ class PrincipalDb:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PrincipalDb":
-        services = obj["services"]
+        read = ConfigReader("KDC database", obj)
+        services = read.field("services", lambda value: ConfigReader("KDC services", value))
         db = cls(
-            tgs_id=obj.get("tgs_id", DEFAULT_TGS_ID),
-            tgs_key=config_key("KDC database", obj, "tgs_key", KeyRole.PASSWORD),
-            services={name: config_key("KDC services", services, name, KeyRole.PASSWORD) for name in services},
+            tgs_id=read.text("tgs_id"),
+            tgs_key=read.key("tgs_key", KeyRole.PASSWORD),
+            services={name: services.key(name, KeyRole.PASSWORD) for name in services.obj},
         )
-        for name, rec in obj["clients"].items():
+        for name, client in read.entries("clients", "client").items():
             db.clients[name] = ClientPrincipal(
                 name=name,
-                key=config_key(f"client {name!r}", rec, "key", KeyRole.PASSWORD),
-                ad_c=int(rec["ad_c"]),
-                services=frozenset(rec["services"]),
+                key=client.key("key", KeyRole.PASSWORD),
+                ad_c=client.integer("ad_c"),
+                services=client.names("services"),
             )
         return db
 
 
-def config_key(entry: str, obj: dict, name: str, role: KeyRole) -> SymmetricKey:
-    """The base64 key in field ``name`` of a config file's ``entry``; a missing
-    field, bad base64 or a wrong length is a FieldFormatError naming both."""
-    if name not in obj:
-        raise FieldFormatError(f"{entry}: no {name!r} field")
-    try:
-        return key_from_b64(obj[name], role)
-    except (AuthFailure, ValueError) as exc:
-        raise FieldFormatError(f"{entry}: bad {name!r} field: {exc}") from exc
+class ConfigReader:
+    """One object of a config file, checked field by field as it is read.
+
+    ``entry`` names the object in errors: a missing field, or one of the
+    wrong type or form, is a FieldFormatError naming the entry and field.
+    """
+
+    def __init__(self, entry: str, obj: object) -> None:
+        if not isinstance(obj, dict):
+            raise FieldFormatError(f"{entry}: not a JSON object")
+        self.entry = entry
+        self.obj = obj
+
+    def field(self, name: str, check):
+        """Field ``name`` passed through ``check``, which raises TypeError or
+        ValueError (or AuthFailure, for a key) on a bad value."""
+        if name not in self.obj:
+            raise FieldFormatError(f"{self.entry}: no {name!r} field")
+        try:
+            return check(self.obj[name])
+        except (AuthFailure, TypeError, ValueError) as exc:
+            raise FieldFormatError(f"{self.entry}: bad {name!r} field: {exc}") from exc
+
+    def integer(self, name: str) -> int:
+        return self.field(name, lambda value: _typed(value, int))
+
+    def text(self, name: str) -> str:
+        return self.field(name, lambda value: _typed(value, str))
+
+    def key(self, name: str, role: KeyRole) -> SymmetricKey:
+        return self.field(name, lambda value: key_from_b64(_typed(value, str), role))
+
+    def names(self, name: str) -> frozenset[str]:
+        return self.field(name, lambda value: frozenset(_typed(v, str) for v in _typed(value, list)))
+
+    def entries(self, name: str, label: str) -> dict[str, "ConfigReader"]:
+        """Field ``name``'s table of objects, each named ``label 'key'`` in errors."""
+        table = self.field(name, lambda value: _typed(value, dict))
+        return {item: ConfigReader(f"{label} {item!r}", obj) for item, obj in table.items()}
+
+
+def _typed(value: object, kind: type):
+    if isinstance(value, bool) or not isinstance(value, kind):  # JSON true is no integer
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
 
 
 class ReplayCache:
@@ -212,9 +246,10 @@ class Kdc:
         db: PrincipalDb,
         clock: Clock | None = None,
         rng: Rng | None = None,
-        tgt_lifetime: int = DEFAULT_TGT_LIFETIME,
-        st_lifetime: int = DEFAULT_ST_LIFETIME,
-        clock_skew: int = DEFAULT_CLOCK_SKEW,
+        *,
+        tgt_lifetime: int,
+        st_lifetime: int,
+        clock_skew: int,
     ) -> None:
         self.db = db
         self.clock = clock or SystemClock()
@@ -227,13 +262,14 @@ class Kdc:
     @classmethod
     def from_json_obj(cls, obj: dict, clock: Clock | None = None, rng: Rng | None = None) -> "Kdc":
         """A KDC from its kdc.json object: the principals plus the ticket policy."""
+        read = ConfigReader("KDC database", obj)
         return cls(
             PrincipalDb.from_json_obj(obj),
             clock=clock,
             rng=rng,
-            tgt_lifetime=int(obj.get("tgt_lifetime", DEFAULT_TGT_LIFETIME)),
-            st_lifetime=int(obj.get("st_lifetime", DEFAULT_ST_LIFETIME)),
-            clock_skew=int(obj.get("clock_skew", DEFAULT_CLOCK_SKEW)),
+            tgt_lifetime=read.integer("tgt_lifetime"),
+            st_lifetime=read.integer("st_lifetime"),
+            clock_skew=read.integer("clock_skew"),
         )
 
     # --- exchanges -----------------------------------------------------------

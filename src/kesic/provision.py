@@ -19,18 +19,20 @@ from dataclasses import dataclass, field
 
 from .client import DEFAULT_ISV_ID
 from .crypto import KeyRole, SymmetricKey, derive_password_key
-from .device.profile import DEFAULT_WINDOW
+from .device.profile import DEVICE_TYPES
 from .errors import ScriptError
-from .isv import DEFAULT_ATTEST_TIMEOUT, DEFAULT_IOT_TICKET_LIFETIME
-from .kdc import (
-    DEFAULT_CLOCK_SKEW,
-    DEFAULT_ST_LIFETIME,
-    DEFAULT_TGS_ID,
-    DEFAULT_TGT_LIFETIME,
-    key_b64,
-)
+from .kdc import DEFAULT_TGS_ID, key_b64
 from .rng import Rng
 
+# The protocol defaults, for a FleetSpec or DeviceSpec that leaves a field
+# out. Every config file written here carries every policy field, and the
+# actors' loaders require them all, so no other module has a default.
+DEFAULT_TGT_LIFETIME = 10 * 3600
+DEFAULT_ST_LIFETIME = 3600
+DEFAULT_CLOCK_SKEW = 300
+DEFAULT_IOT_TICKET_LIFETIME = 600
+DEFAULT_ATTEST_TIMEOUT = 30
+DEFAULT_WINDOW = 16  # power-device counter tickets valid per wake cycle
 DEFAULT_MEMORY_SIZE = 2048
 
 
@@ -50,6 +52,10 @@ class DeviceSpec:
     freshness_window: int = DEFAULT_CLOCK_SKEW
     memory_size: int = DEFAULT_MEMORY_SIZE
 
+    def __post_init__(self) -> None:
+        if self.dtype not in DEVICE_TYPES:
+            raise ScriptError(f"device {self.name!r}: type must be general or power, not {self.dtype!r}")
+
 
 @dataclass(frozen=True)
 class FleetSpec:
@@ -64,34 +70,33 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FleetSpec":
+        """A spec from a scenario's ``fleet``; a field it leaves out keeps its default."""
         try:
             clients = tuple(
-                ClientSpec(
-                    name=c["name"],
-                    password=c["password"],
-                    services=tuple(c.get("services", ("isv",))),
-                )
+                ClientSpec(name=c["name"], password=c["password"], **_given(c, ("services",), tuple))
                 for c in obj["clients"]
             )
             devices = tuple(
                 DeviceSpec(
                     name=d["name"],
                     dtype=d["type"],
-                    allow=tuple(d["allow"]) if "allow" in d else None,
-                    window=int(d.get("window", DEFAULT_WINDOW)),
-                    freshness_window=int(d.get("freshness_window", DEFAULT_CLOCK_SKEW)),
-                    memory_size=int(d.get("memory_size", DEFAULT_MEMORY_SIZE)),
+                    **_given(d, ("allow",), tuple),
+                    **_given(d, ("window", "freshness_window", "memory_size"), int),
                 )
                 for d in obj["devices"]
             )
-        except (KeyError, TypeError) as exc:
+            return cls(clients=clients, devices=devices, **_given(obj, _FLEET_POLICY, int))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ScriptError(f"bad fleet spec: {exc}") from exc
-        extra = {
-            k: obj[k]
-            for k in ("iot_ticket_lifetime", "attest_timeout", "clock_skew", "tgt_lifetime", "st_lifetime")
-            if k in obj
-        }
-        return cls(clients=clients, devices=devices, **extra)
+
+
+_FLEET_POLICY = ("iot_ticket_lifetime", "attest_timeout", "clock_skew", "tgt_lifetime", "st_lifetime")
+
+
+def _given(obj: dict, names: tuple[str, ...], convert) -> dict:
+    """The fields among ``names`` that ``obj`` sets, converted; a spec's dataclass
+    defaults fill in the rest."""
+    return {name: convert(obj[name]) for name in names if name in obj}
 
 
 @dataclass

@@ -8,9 +8,12 @@ import threading
 
 import pytest
 
-from kesic import daemon, net
+from kesic import cli, daemon, net
+from kesic.errors import FieldFormatError
+from kesic.provision import provision
+from kesic.rng import Rng
 
-from conftest import HOSTILE_HEADS
+from conftest import HOSTILE_HEADS, SMALL_FLEET
 
 
 @pytest.fixture
@@ -183,3 +186,53 @@ def test_a_client_hanging_up_before_its_reply_leaves_no_traceback(ticket_server,
         assert done.wait(timeout=5)
     assert "Traceback" not in capfd.readouterr().err
     assert any(r.exc_info and issubclass(r.exc_info[0], ConnectionError) for r in caplog.records)
+
+
+@pytest.fixture(scope="module")
+def config_files(tmp_path_factory):
+    """A provisioned fleet's kdc.json, isv.json and alice's identity."""
+    root = tmp_path_factory.mktemp("configs")
+    fleet = provision(SMALL_FLEET, Rng(8))
+    fleet.write_kdc_db(str(root / "kdc.json"))
+    fleet.write_isv_config(str(root / "isv.json"))
+    fleet.write_client_identity("alice", str(root / "alice.json"))
+    return root
+
+
+MAINS = {  # the arguments each main needs besides its config file
+    "kesic-kdc": (daemon.kdc_main, ["--db", "kdc.json", "--port", "0"]),
+    "kesic-isv": (daemon.isv_main, ["--devices", "isv.json", "--sync-port", "0", "--attest-port", "0"]),
+    "kesic-client": (cli.main, ["--identity", "alice.json", "cache"]),
+}
+
+
+def _argv(config_files, args):
+    return [str(config_files / a) if a.endswith(".json") else a for a in args]
+
+
+@pytest.mark.parametrize("name", sorted(MAINS))
+def test_deterministic_seed_flag_is_refused_before_any_socket(name, config_files, monkeypatch):
+    """A seeded Rng replays AES-GCM nonces across restarts, so no main takes a seed."""
+
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    main, args = MAINS[name]
+    with pytest.raises(SystemExit) as exc:
+        main(["--deterministic-seed", "7", *_argv(config_files, args)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", ["kesic-kdc", "kesic-isv"])
+def test_config_file_that_is_not_json_is_a_named_error(name, tmp_path):
+    main, args = MAINS[name]
+    (tmp_path / args[1]).write_text("{not json")
+    with pytest.raises(FieldFormatError, match=f"{args[1]} is not JSON"):
+        main(_argv(tmp_path, args))
+
+
+def test_client_identity_that_is_not_json_is_a_named_error(tmp_path, capsys):
+    (tmp_path / "alice.json").write_text("")
+    assert cli.main(_argv(tmp_path, MAINS["kesic-client"][1])) == cli.EXIT_ERROR
+    assert "error: FieldFormatError: " in capsys.readouterr().err

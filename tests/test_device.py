@@ -9,6 +9,7 @@ from kesic import crypto, wire
 from kesic.clock import VirtualClock
 from kesic.crypto import SymmetricKey
 from kesic.device import DeviceProfile, GeneralDevice, PowerDevice
+from kesic.errors import CorruptState
 from kesic.provision import provision
 from kesic.rng import Rng
 
@@ -149,6 +150,18 @@ class TestSyncHandshake:
         second = Rig("bulb", tmp_path)  # simulated crash + restart
         second.device.boot(second.send)
         assert second.last_sync_request().co_sync == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "not json", '{"counter": 3}', '{"co_sync": "x"}', '{"co_sync": true}', '{"co_sync": -1}', "[1]"],
+        ids=["empty", "not-json", "no-key", "string", "true", "negative", "not-an-object"],
+    )
+    def test_malformed_state_file_is_corrupt_state(self, tmp_path, text):
+        """A --state file that is not {"co_sync": <non-negative int>} stops the
+        device at start-up, naming the file, before any counter is reused."""
+        (tmp_path / "bulb.state.json").write_text(text)
+        with pytest.raises(CorruptState, match="bulb.state.json"):
+            Rig("bulb", tmp_path)
 
     def test_response_with_wrong_counter_rejected(self, bulb):
         bulb.device.boot(bulb.send)

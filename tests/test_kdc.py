@@ -18,6 +18,7 @@ from kesic.errors import (
     TicketExpired,
     UnknownPrincipal,
 )
+from kesic.client import ClientConfig
 from kesic.device import DeviceProfile
 from kesic.isv import IsvConfig
 from kesic.provision import provision
@@ -280,11 +281,15 @@ class TestDatagramLayer:
 NOT_BASE64 = "not base64!"
 SHORT_KEY = base64.b64encode(bytes(16)).decode("ascii")
 CONFIGS = {
-    "kdc": (lambda fleet: fleet.kdc_json(), kdc.PrincipalDb.from_json_obj),
+    "kdc": (lambda fleet: fleet.kdc_json(), kdc.Kdc.from_json_obj),
     "isv": (lambda fleet: fleet.isv_json(), IsvConfig.from_json_obj),
     "device": (
         lambda fleet: fleet.device_json("bulb"),
         lambda obj: DeviceProfile.from_json_obj(obj, memory=b"", isv_sync_addr=None, isv_attest_addr=None),
+    ),
+    "client": (
+        lambda fleet: fleet.client_json("alice"),
+        lambda obj: ClientConfig.from_json_obj(obj, kdc_addr=None, isv_url="", device_addrs={}),
     ),
 }
 KEY_SITES = [  # (id, config, path to the entry, field, the entry as the error names it)
@@ -304,6 +309,64 @@ KEY_CASES = [
     for site, config, path, name, entry in KEY_SITES
     for kind, value in (("not-base64", NOT_BASE64), ("wrong-length", SHORT_KEY))
 ]
+# Bad values per field kind; None deletes the field. Any string is a valid
+# text field, so those get a number instead.
+BAD = {"missing": None, "string": "x", "true": True}
+BAD_TEXT = {"missing": None, "number": 7, "true": True}
+BAD_TYPE = {**BAD, "upper-case": "GENERAL"}
+BAD_DIGEST = {**BAD, "63-hex": "a" * 63, "not-hex": "g" * 64}
+FIELD_SITES = [  # (config, path to the entry, field, the entry as the error names it, bad values)
+    ("kdc", (), "tgs_id", "KDC database", BAD_TEXT),
+    ("kdc", (), "tgt_lifetime", "KDC database", BAD),
+    ("kdc", (), "st_lifetime", "KDC database", BAD),
+    ("kdc", (), "clock_skew", "KDC database", BAD),
+    ("kdc", ("clients", "alice"), "ad_c", "client 'alice'", BAD),
+    ("kdc", ("clients", "alice"), "services", "client 'alice'", BAD),
+    ("isv", (), "kerberos_id", "IoT server config", BAD_TEXT),
+    ("isv", (), "id_isv", "IoT server config", BAD),
+    ("isv", (), "iot_ticket_lifetime", "IoT server config", BAD),
+    ("isv", (), "attest_timeout", "IoT server config", BAD),
+    ("isv", (), "clock_skew", "IoT server config", BAD),
+    ("isv", ("users", "alice"), "id_c", "user 'alice'", BAD),
+    ("isv", ("users", "alice"), "ad_c", "user 'alice'", BAD),
+    ("isv", ("devices", "bulb"), "id_dev", "device 'bulb'", BAD),
+    ("isv", ("devices", "bulb"), "type", "device 'bulb'", BAD_TYPE),
+    ("isv", ("devices", "bulb"), "allow", "device 'bulb'", BAD),
+    ("isv", ("devices", "bulb"), "memory_sha256", "device 'bulb'", BAD_DIGEST),
+    ("device", (), "id_dev", "device profile 'bulb'", BAD),
+    ("device", (), "type", "device profile 'bulb'", BAD_TYPE),
+    ("device", (), "id_isv", "device profile 'bulb'", BAD),
+    ("device", (), "window", "device profile 'bulb'", BAD),
+    ("device", (), "freshness_window", "device profile 'bulb'", BAD),
+    # Without its name a profile can only be called a device profile.
+    ("device", (), "name", "device profile", BAD_TEXT),
+    ("client", (), "name", "client identity", BAD_TEXT),
+    ("client", (), "id_c", "client identity", BAD),
+    ("client", (), "ad_c", "client identity", BAD),
+]
+FIELD_CASES = [
+    pytest.param(
+        config, path, name, value, f"{entry}: {'no' if value is None else 'bad'} '{name}' field",
+        id="-".join((config, *path, name, kind)),
+    )
+    for config, path, name, entry, values in FIELD_SITES
+    for kind, value in values.items()
+]
+
+
+def load_with(fleet, config, path, name, value):
+    """Load ``config`` with field ``name`` of the entry at ``path`` set to
+    ``value``, or deleted when it is None."""
+    read, load = CONFIGS[config]
+    obj = read(fleet)
+    target = obj
+    for key in path:
+        target = target[key]
+    if value is None:
+        del target[name]
+    else:
+        target[name] = value
+    return load(obj)
 
 
 class TestPrincipalDb:
@@ -351,17 +414,21 @@ class TestPrincipalDb:
     def test_bad_client_key_is_a_named_error(self, setup, config, path, name, value, message):
         """Every key in every config file is checked on load, naming its entry and field."""
         _, _, fleet, _ = setup
-        read, load = CONFIGS[config]
-        obj = read(fleet)
-        target = obj
-        for key in path:
-            target = target[key]
-        if value is None:
-            del target[name]
-        else:
-            target[name] = value
         with pytest.raises(FieldFormatError, match=message):
-            load(obj)
+            load_with(fleet, config, path, name, value)
+
+    @pytest.mark.parametrize("config, path, name, value, message", FIELD_CASES)
+    def test_bad_config_field_is_a_named_error(self, setup, config, path, name, value, message):
+        """Every id and policy field is required and type-checked on load: a
+        bool is no integer, and a device type is exactly general or power."""
+        _, _, fleet, _ = setup
+        with pytest.raises(FieldFormatError, match=message):
+            load_with(fleet, config, path, name, value)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_config_that_is_not_an_object_is_a_named_error(self, config):
+        with pytest.raises(FieldFormatError, match="not a JSON object"):
+            CONFIGS[config][1]([])
 
 
 class TestKdcConfigFile:

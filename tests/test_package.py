@@ -1,5 +1,6 @@
 """Package surface: every public name a module declares exists."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -7,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import types
+from collections import defaultdict
 
 import pytest
 
@@ -63,3 +65,33 @@ def test_live_transport_does_not_import_the_stdlib_http_stack():
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+POLICY_DEFAULTS = {
+    "DEFAULT_TGT_LIFETIME",
+    "DEFAULT_ST_LIFETIME",
+    "DEFAULT_CLOCK_SKEW",
+    "DEFAULT_IOT_TICKET_LIFETIME",
+    "DEFAULT_ATTEST_TIMEOUT",
+    "DEFAULT_WINDOW",
+}
+
+
+def test_policy_defaults_have_one_reader():
+    """Each protocol default is read in provision.py only: it fills in a
+    FleetSpec field, and every actor reads its policy from its config."""
+    src = pathlib.Path(kesic.__file__).resolve().parent
+    readers = defaultdict(set)
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif isinstance(node, ast.alias):  # an import reads it too
+                name = node.name
+            else:
+                continue
+            if name in POLICY_DEFAULTS:
+                readers[name].add(path.relative_to(src).as_posix())
+    assert readers == {name: {"provision.py"} for name in POLICY_DEFAULTS}
