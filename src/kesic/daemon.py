@@ -17,6 +17,7 @@ import threading
 
 from .clock import SystemClock
 from .device import DEVICE_CLASSES, DeviceProfile
+from .errors import KesicError
 from .isv import Isv, IsvConfig
 from .kdc import Kdc
 from .net import _RECV_SIZE, parse_hostport, serve_http
@@ -45,6 +46,13 @@ def _load_json(path: str) -> object:
         return parse_json(fh.read(), path)
 
 
+def _start_failed(exc: Exception) -> int:
+    """A config or --state file that cannot be loaded ends a daemon with one
+    line on stderr and status 2, before it binds a socket."""
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
+
+
 # --- KDC ----------------------------------------------------------------------
 
 
@@ -54,7 +62,10 @@ def kdc_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--port", type=int, default=8750)
     args = parser.parse_args(argv)
 
-    center = Kdc.from_json_obj(_load_json(args.db))
+    try:
+        center = Kdc.from_json_obj(_load_json(args.db))
+    except (KesicError, OSError) as exc:
+        return _start_failed(exc)
 
     def handle(data: bytes, src, send) -> None:
         send(src, center.handle_datagram(data, src))
@@ -142,8 +153,11 @@ def isv_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--state", default=None, help="counter journal (created if missing)")
     args = parser.parse_args(argv)
 
-    config, records = IsvConfig.from_json_obj(_load_json(args.devices))
-    isv = Isv(config, records, state_path=args.state)
+    try:
+        config, records = IsvConfig.from_json_obj(_load_json(args.devices))
+        isv = Isv(config, records, state_path=args.state)
+    except (KesicError, OSError) as exc:
+        return _start_failed(exc)
 
     sync_sock = _bind_udp(args.sync_port)
     attest_sock = _bind_udp(args.attest_port)
@@ -191,21 +205,24 @@ def device_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--state", default=None, help="sync-counter persistence JSON")
     args = parser.parse_args(argv)
 
-    with open(args.memory_image, "rb") as fh:
-        memory = fh.read()
     sync_host, sync_port = parse_hostport(args.isv_addr)
     if args.isv_attest_addr is not None:
         attest_addr = parse_hostport(args.isv_attest_addr)
     else:
         attest_addr = (sync_host, sync_port + 1)
-    profile = DeviceProfile.from_json_obj(
-        _load_json(args.profile),
-        memory=memory,
-        isv_sync_addr=(sync_host, sync_port),
-        isv_attest_addr=attest_addr,
-        state_path=args.state,
-    )
-    device = DEVICE_CLASSES[profile.dtype](profile, SystemClock())
+    try:
+        with open(args.memory_image, "rb") as fh:
+            memory = fh.read()
+        profile = DeviceProfile.from_json_obj(
+            _load_json(args.profile),
+            memory=memory,
+            isv_sync_addr=(sync_host, sync_port),
+            isv_attest_addr=attest_addr,
+            state_path=args.state,
+        )
+        device = DEVICE_CLASSES[profile.dtype](profile, SystemClock())
+    except (KesicError, OSError) as exc:
+        return _start_failed(exc)
 
     sock = _bind_udp(args.port)
 

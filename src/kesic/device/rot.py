@@ -128,10 +128,9 @@ class GeneralRot(RotBase):
 
     def __init__(self, profile: DeviceProfile, clock: Clock) -> None:
         super().__init__(profile, clock)
-        self._freshness_window_us = profile.freshness_window * 1_000_000
         self._start_us = 0
         self._timer_origin = 0.0
-        self._replay = ReplayCache(self._freshness_window_us)
+        self._replay = ReplayCache(profile.freshness_window * 1_000_000)
 
     def _on_synced(self, sync_val: int) -> None:
         self._start_us = sync_val * 1_000_000
@@ -153,7 +152,7 @@ class GeneralRot(RotBase):
         renderings, so these are the bytes the IoT server MAC'd.
         """
         local = self.local_time_us()
-        if abs(frame.ts - local) > self._freshness_window_us:
+        if not self._replay.fresh(frame.ts, local):
             return Verdict.INVALID_REQUEST, None
         if frame.lifetime * 1_000_000 <= local:
             return Verdict.TICKET_EXPIRED, None

@@ -28,6 +28,7 @@ explicit JSON errors.
 from __future__ import annotations
 
 import errno
+import hmac
 import json
 import logging
 import os
@@ -283,9 +284,9 @@ class SyncManager:
             self._event("attest-reject", device=rec.name, error="Timeout")
             return
         att_key = crypto.derive_attestation_key(rec.kl_key, pend.challenge)
-        expected = crypto.attest_digest(att_key, rec.ref_memory_hash)
+        expected = crypto.attest_digest(att_key, rec.ref_memory_hash).hex
         with rec.lock:
-            if not crypto.verify_tag(att_key, rec.ref_memory_hash, frame.attst_hmac):
+            if not hmac.compare_digest(expected, frame.attst_hmac):
                 with self._lock:
                     self.pending.pop(frame.id_dev, None)
                 if frame.attst_hmac in rec.past_reports:
@@ -296,7 +297,7 @@ class SyncManager:
                     rec.healthy = False
                     self._event("attest-reject", device=rec.name, error="AttestationMismatch")
                 return
-            rec.past_reports.add(expected.hex)
+            rec.past_reports.add(expected)
             # Counter re-initialization, clamped so co_pc never decreases
             # even under a frozen virtual clock.
             rec.co_pc = max(self.clock.now(), rec.co_pc)
@@ -339,7 +340,6 @@ class TicketManager:
         self.rng = rng
         self.events = events
         self.iot_ticket_lifetime = config.iot_ticket_lifetime
-        self.clock_skew = config.clock_skew
         self._replay = ReplayCache(config.clock_skew * 1_000_000)
 
     def _event(self, event: str, **extra) -> None:
@@ -384,7 +384,6 @@ class TicketManager:
                 st_b64,
                 authn_b64,
                 self.clock,
-                self.clock_skew,
                 self._replay,
             )
         except KerberosAuthFailure:

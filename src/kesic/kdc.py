@@ -9,19 +9,22 @@ authenticators are AES-GCM sealed JSON objects carried as base64 strings:
 
     AS  req   {"op": "as", "id_c", "id_tgs", "ts"}                (plaintext)
     AS  resp  {"sealed": E(Kl_C-AS,  {"k", "ts", "lf2", "tgt"})}
-    TGT       E(Kl_TGS-AS, {"k", "id_c", "ad_c", "id_tgs", "lf2", "ts"})
+    TGT       E(Kl_TGS-AS, {"k", "id_c", "ad_c", "id_v", "ts", "lf"})   id_v = tgs_id
     TGS req   {"op": "tgs", "id_v", "tgt", "authn"}
     authn     E(K_C-TGS,  {"id_c", "ad_c", "ts_us"})
     TGS resp  {"sealed": E(K_C-TGS, {"k", "id_v", "ts", "lf4", "st"})}
-    ST        E(Kl_V-TGS, {"k", "id_c", "ad_c", "id_v", "ts", "lf4"})
+    ST        E(Kl_V-TGS, {"k", "id_c", "ad_c", "id_v", "ts", "lf"})
 
-Successful decryption with the password-derived key is the client's
-implicit authentication; the AS never sees the password. Authenticator
-timestamps are microsecond-resolution so the (id_c, ts) replay cache does
-not collide for honest back-to-back requests. Lifetimes are absolute
-expiry instants in POSIX seconds; like RFC 4120's endtime, each reply tells
-the client its ticket's expiry. Any failed principal lookup returns the
-same UnknownPrincipal error to avoid enumeration.
+As in RFC 4120 (sections 3.3, 5.3), the TGS is one more service: one
+helper seals both kinds of ticket, and the TGS accepts a TGT through the
+same ``verify_ap`` as the ticket API accepts a service ticket. Decryption
+with the password-derived key is the client's implicit authentication.
+Authenticator timestamps are microseconds, so the (id_c, ts) replay cache
+does not collide for honest back-to-back requests, and each cache's window
+is also its freshness window. Lifetimes are absolute expiry instants in
+POSIX seconds; like RFC 4120's endtime, each reply tells the client its
+ticket's expiry. Any failed principal lookup returns the same
+UnknownPrincipal error to avoid enumeration.
 """
 
 from __future__ import annotations
@@ -149,11 +152,12 @@ def _typed(value: object, kind: type):
 
 
 class ReplayCache:
-    """Remembers (principal, ts_us) pairs for twice the freshness window.
+    """The freshness window and the (principal, ts_us) pairs seen within it.
 
-    An accepted timestamp lies within ``window_us`` of the acceptance time,
-    so it stays fresh until at most two windows after it was inserted; only
-    then may it be forgotten (RFC 4120 section 3.2.3). Keys are kept in
+    ``fresh`` admits a timestamp within ``window_us`` of the acceptance
+    time, so an accepted pair could pass again until at most two windows
+    after it was inserted; ``check_and_add`` remembers it that long and
+    only then forgets it (RFC 4120 section 3.2.3). Keys are kept in
     insertion order, so pruning pops from the front in amortised O(1).
     """
 
@@ -165,6 +169,9 @@ class ReplayCache:
 
     def __len__(self) -> int:
         return len(self._keys)
+
+    def fresh(self, ts_us: int, now_us: int) -> bool:
+        return abs(ts_us - now_us) <= self._window_us
 
     def check_and_add(self, principal: object, ts_us: int, now_us: int) -> None:
         key = (principal, ts_us)
@@ -186,25 +193,32 @@ def make_authenticator(
 
 @dataclass(frozen=True)
 class ApIdentity:
-    """Result of a verified service-ticket + authenticator presentation."""
+    """Result of a verified ticket + authenticator presentation."""
 
     id_c: str
     ad_c: int
     session_key: SymmetricKey
 
 
-def _check_authenticator(
-    ticket: dict,
+def verify_ap(
+    service_key: SymmetricKey,
+    own_id: str,
+    ticket_b64: str,
     authn_b64: str,
     clock: Clock,
-    skew_s: int,
     replay_cache: ReplayCache,
-) -> SymmetricKey:
-    """Opens the authenticator under the ticket's session key and admits it once.
+) -> ApIdentity:
+    """Service side of a ticket presentation; raises on any defect.
 
-    Shared by the TGS (ticket = TGT) and the application servers (ticket =
-    service ticket); returns the session key.
+    The TGS calls it with its TGT, an application server with its service
+    ticket. The authenticator is opened under the ticket's session key and
+    admitted once, within the replay cache's freshness window.
     """
+    ticket = open_json(service_key, ticket_b64)
+    if ticket.get("id_v") != own_id:
+        raise IdMismatch("ticket addressed to a different service")
+    if not isinstance(ticket.get("lf"), int) or ticket["lf"] <= clock.now():
+        raise TicketExpired("ticket lifetime elapsed")
     session_key = key_from_b64(ticket["k"], KeyRole.SESSION)
     authn = open_json(session_key, authn_b64)
     if authn.get("id_c") != ticket.get("id_c") or authn.get("ad_c") != ticket.get("ad_c"):
@@ -213,29 +227,10 @@ def _check_authenticator(
     if not isinstance(ts_us, int):
         raise AuthFailure("authenticator missing timestamp")
     now_us = clock.now_us()
-    if abs(ts_us - now_us) > skew_s * 1_000_000:
+    if not replay_cache.fresh(ts_us, now_us):
         raise SkewExceeded("authenticator timestamp outside skew window")
     replay_cache.check_and_add(ticket["id_c"], ts_us, now_us)
-    return session_key
-
-
-def verify_ap(
-    service_key: SymmetricKey,
-    own_id: str,
-    st_b64: str,
-    authn_b64: str,
-    clock: Clock,
-    skew_s: int,
-    replay_cache: ReplayCache,
-) -> ApIdentity:
-    """Application-server side of the ticket presentation; raises on any defect."""
-    st = open_json(service_key, st_b64)
-    if st.get("id_v") != own_id:
-        raise IdMismatch("service ticket addressed to a different service")
-    if not isinstance(st.get("lf4"), int) or st["lf4"] <= clock.now():
-        raise TicketExpired("service ticket lifetime elapsed")
-    session_key = _check_authenticator(st, authn_b64, clock, skew_s, replay_cache)
-    return ApIdentity(id_c=st["id_c"], ad_c=int(st["ad_c"]), session_key=session_key)
+    return ApIdentity(id_c=ticket["id_c"], ad_c=int(ticket["ad_c"]), session_key=session_key)
 
 
 class Kdc:
@@ -256,7 +251,6 @@ class Kdc:
         self.rng = rng or Rng()
         self.tgt_lifetime = tgt_lifetime
         self.st_lifetime = st_lifetime
-        self.clock_skew = clock_skew
         self._replay = ReplayCache(clock_skew * 1_000_000)
 
     @classmethod
@@ -274,6 +268,16 @@ class Kdc:
 
     # --- exchanges -----------------------------------------------------------
 
+    def _seal_ticket(
+        self, key: SymmetricKey, id_c: str, ad_c: int, id_v: str, lifetime: int
+    ) -> tuple[dict, str]:
+        """A fresh session key sealed under ``key`` into a ticket for ``id_v``;
+        returns the ticket's plaintext and its sealed form."""
+        now = self.clock.now()
+        k = key_b64(SymmetricKey.generate(self.rng, KeyRole.SESSION))
+        ticket = {"k": k, "id_c": id_c, "ad_c": ad_c, "id_v": id_v, "ts": now, "lf": now + lifetime}
+        return ticket, seal_json(key, ticket, self.rng)
+
     def as_exchange(self, req: dict) -> dict:
         id_c = req.get("id_c")
         client = self.db.clients.get(id_c)
@@ -281,61 +285,28 @@ class Kdc:
             raise UnknownPrincipal("unknown principal")
         if not isinstance(req.get("ts"), int):
             raise FieldFormatError("as request needs an integer ts")
-        now = self.clock.now()
-        lf2 = now + self.tgt_lifetime
-        k_c_tgs = SymmetricKey.generate(self.rng, KeyRole.SESSION)
-        tgt = seal_json(
-            self.db.tgs_key,
-            {
-                "k": key_b64(k_c_tgs),
-                "id_c": client.name,
-                "ad_c": client.ad_c,
-                "id_tgs": self.db.tgs_id,
-                "lf2": lf2,
-                "ts": now,
-            },
-            self.rng,
+        tgt, sealed = self._seal_ticket(
+            self.db.tgs_key, client.name, client.ad_c, self.db.tgs_id, self.tgt_lifetime
         )
-        payload = {"k": key_b64(k_c_tgs), "ts": now, "lf2": lf2, "tgt": tgt}
-        logger.debug("AS issued TGT for %s (lf2=%d)", client.name, lf2)
+        payload = {"k": tgt["k"], "ts": tgt["ts"], "lf2": tgt["lf"], "tgt": sealed}
+        logger.debug("AS issued TGT for %s (lf2=%d)", client.name, tgt["lf"])
         return {"sealed": seal_json(client.key, payload, self.rng)}
 
     def tgs_exchange(self, req: dict) -> dict:
-        tgt = open_json(self.db.tgs_key, req.get("tgt", ""))
-        if tgt.get("id_tgs") != self.db.tgs_id:
-            raise IdMismatch("tgt addressed to a different tgs")
-        now = self.clock.now()
-        if not isinstance(tgt.get("lf2"), int) or tgt["lf2"] <= now:
-            raise TicketExpired("tgt lifetime elapsed")
-        k_c_tgs = _check_authenticator(
-            tgt, req.get("authn", ""), self.clock, self.clock_skew, self._replay
-        )
-
+        tgt, authn = req.get("tgt", ""), req.get("authn", "")
+        identity = verify_ap(self.db.tgs_key, self.db.tgs_id, tgt, authn, self.clock, self._replay)
         id_v = req.get("id_v")
         service_key = self.db.services.get(id_v)
-        client = self.db.clients.get(tgt["id_c"])
+        client = self.db.clients.get(identity.id_c)
         if service_key is None or client is None:
             raise UnknownPrincipal("unknown principal")
         if id_v not in client.services:
             raise NotAuthorized(f"{client.name} may not access {id_v}")
 
-        k_c_v = SymmetricKey.generate(self.rng, KeyRole.SESSION)
-        lf4 = now + self.st_lifetime
-        st = seal_json(
-            service_key,
-            {
-                "k": key_b64(k_c_v),
-                "id_c": tgt["id_c"],
-                "ad_c": tgt["ad_c"],
-                "id_v": id_v,
-                "ts": now,
-                "lf4": lf4,
-            },
-            self.rng,
-        )
-        payload = {"k": key_b64(k_c_v), "id_v": id_v, "ts": now, "lf4": lf4, "st": st}
-        logger.debug("TGS issued service ticket %s -> %s (lf4=%d)", tgt["id_c"], id_v, lf4)
-        return {"sealed": seal_json(k_c_tgs, payload, self.rng)}
+        st, sealed = self._seal_ticket(service_key, identity.id_c, identity.ad_c, id_v, self.st_lifetime)
+        payload = {"k": st["k"], "id_v": id_v, "ts": st["ts"], "lf4": st["lf"], "st": sealed}
+        logger.debug("TGS issued service ticket %s -> %s (lf4=%d)", identity.id_c, id_v, st["lf"])
+        return {"sealed": seal_json(identity.session_key, payload, self.rng)}
 
     # --- transport entry point -------------------------------------------------
 

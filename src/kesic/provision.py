@@ -73,14 +73,14 @@ class FleetSpec:
         """A spec from a scenario's ``fleet``; a field it leaves out keeps its default."""
         try:
             clients = tuple(
-                ClientSpec(name=c["name"], password=c["password"], **_given(c, ("services",), tuple))
+                ClientSpec(name=c["name"], password=c["password"], **_given(c, ("services",), _names))
                 for c in obj["clients"]
             )
             devices = tuple(
                 DeviceSpec(
                     name=d["name"],
                     dtype=d["type"],
-                    **_given(d, ("allow",), tuple),
+                    **_given(d, ("allow",), _names),
                     **_given(d, ("window", "freshness_window", "memory_size"), int),
                 )
                 for d in obj["devices"]
@@ -97,6 +97,12 @@ def _given(obj: dict, names: tuple[str, ...], convert) -> dict:
     """The fields among ``names`` that ``obj`` sets, converted; a spec's dataclass
     defaults fill in the rest."""
     return {name: convert(obj[name]) for name in names if name in obj}
+
+
+def _names(value: object) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise TypeError(f"expected a list of names, got {value!r}")
+    return tuple(value)
 
 
 @dataclass

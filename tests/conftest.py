@@ -1,6 +1,9 @@
+import hmac
+from collections import Counter
+
 import pytest
 
-from kesic import net
+from kesic import crypto, net, wire
 from kesic.harness.scenario import World
 from kesic.provision import ClientSpec, DeviceSpec, FleetSpec
 
@@ -17,6 +20,23 @@ SMALL_FLEET = FleetSpec(
         DeviceSpec(name="lock", dtype="general", allow=("alice",)),
     ),
 )
+
+
+def count_calls(monkeypatch) -> Counter:
+    """Counts HMACs, field renders and constant-time comparisons from now on."""
+    counts: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(crypto, "hmac_sha256", counting("hmac", crypto.hmac_sha256))
+    monkeypatch.setattr(wire, "render", counting("render", wire.render))
+    monkeypatch.setattr(hmac, "compare_digest", counting("compare_digest", hmac.compare_digest))
+    return counts
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import shutil
 import socket
 import struct
 import threading
@@ -9,7 +10,6 @@ import threading
 import pytest
 
 from kesic import cli, daemon, net
-from kesic.errors import FieldFormatError
 from kesic.provision import provision
 from kesic.rng import Rng
 
@@ -190,11 +190,13 @@ def test_a_client_hanging_up_before_its_reply_leaves_no_traceback(ticket_server,
 
 @pytest.fixture(scope="module")
 def config_files(tmp_path_factory):
-    """A provisioned fleet's kdc.json, isv.json and alice's identity."""
+    """A provisioned fleet's kdc.json, isv.json, bulb's profile and memory
+    image, and alice's identity."""
     root = tmp_path_factory.mktemp("configs")
     fleet = provision(SMALL_FLEET, Rng(8))
     fleet.write_kdc_db(str(root / "kdc.json"))
     fleet.write_isv_config(str(root / "isv.json"))
+    fleet.write_device_profile("bulb", str(root / "bulb.json"), str(root / "bulb.mem"))
     fleet.write_client_identity("alice", str(root / "alice.json"))
     return root
 
@@ -202,34 +204,66 @@ def config_files(tmp_path_factory):
 MAINS = {  # the arguments each main needs besides its config file
     "kesic-kdc": (daemon.kdc_main, ["--db", "kdc.json", "--port", "0"]),
     "kesic-isv": (daemon.isv_main, ["--devices", "isv.json", "--sync-port", "0", "--attest-port", "0"]),
+    "kesic-device": (
+        daemon.device_main,
+        ["--profile", "bulb.json", "--port", "0", "--isv-addr", "127.0.0.1:9", "--memory-image", "bulb.mem"],
+    ),
     "kesic-client": (cli.main, ["--identity", "alice.json", "cache"]),
 }
+DAEMONS = ["kesic-kdc", "kesic-isv", "kesic-device"]
 
 
 def _argv(config_files, args):
-    return [str(config_files / a) if a.endswith(".json") else a for a in args]
+    return [str(config_files / a) if a.endswith((".json", ".mem")) else a for a in args]
+
+
+@pytest.fixture
+def no_socket(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", refuse)
 
 
 @pytest.mark.parametrize("name", sorted(MAINS))
-def test_deterministic_seed_flag_is_refused_before_any_socket(name, config_files, monkeypatch):
+def test_deterministic_seed_flag_is_refused_before_any_socket(name, config_files, no_socket):
     """A seeded Rng replays AES-GCM nonces across restarts, so no main takes a seed."""
-
-    def no_socket(*args, **kwargs):
-        raise AssertionError("a socket was opened")
-
-    monkeypatch.setattr(socket, "socket", no_socket)
     main, args = MAINS[name]
     with pytest.raises(SystemExit) as exc:
         main(["--deterministic-seed", "7", *_argv(config_files, args)])
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("name", ["kesic-kdc", "kesic-isv"])
-def test_config_file_that_is_not_json_is_a_named_error(name, tmp_path):
+def assert_one_line_error(capsys, prefix: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name", DAEMONS)
+def test_config_file_that_is_not_json_is_a_named_error(name, config_files, tmp_path, capsys, no_socket):
+    """A daemon reports a bad config in one line and exits 2 before any
+    socket, as kesic-client and kesic-sim do."""
     main, args = MAINS[name]
+    shutil.copytree(config_files, tmp_path, dirs_exist_ok=True)
     (tmp_path / args[1]).write_text("{not json")
-    with pytest.raises(FieldFormatError, match=f"{args[1]} is not JSON"):
-        main(_argv(tmp_path, args))
+    assert main(_argv(tmp_path, args)) == 2
+    assert_one_line_error(capsys, f"FieldFormatError: {tmp_path / args[1]} is not JSON")
+
+
+@pytest.mark.parametrize("name", DAEMONS)
+def test_missing_config_file_is_a_one_line_error(name, tmp_path, capsys, no_socket):
+    main, args = MAINS[name]
+    assert main(_argv(tmp_path, args)) == 2
+    assert_one_line_error(capsys, "FileNotFoundError: ")
+
+
+@pytest.mark.parametrize("name", ["kesic-isv", "kesic-device"])
+def test_corrupt_state_file_is_a_one_line_error(name, config_files, tmp_path, capsys, no_socket):
+    state = tmp_path / "state"
+    state.write_text("{not a counter file")
+    main, args = MAINS[name]
+    assert main([*_argv(config_files, args), "--state", str(state)]) == 2
+    assert_one_line_error(capsys, f"CorruptState: {state} is not a")
 
 
 def test_client_identity_that_is_not_json_is_a_named_error(tmp_path, capsys):

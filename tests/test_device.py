@@ -1,8 +1,5 @@
 """Emulated devices: sync handshake, root-of-trust verdicts, key isolation."""
 
-import hmac
-from collections import Counter
-
 import pytest
 
 from kesic import crypto, wire
@@ -13,7 +10,7 @@ from kesic.errors import CorruptState
 from kesic.provision import provision
 from kesic.rng import Rng
 
-from conftest import SMALL_FLEET
+from conftest import SMALL_FLEET, count_calls
 
 ID_ISV = 1
 START = 1_700_000_000
@@ -397,23 +394,6 @@ class TestPowerService:
         assert sensor.call(frame) == b"ERR INVALID_REQUEST"
 
 
-def _count_calls(monkeypatch) -> Counter:
-    """Counts HMACs, field renders and constant-time comparisons from now on."""
-    counts: Counter = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(crypto, "hmac_sha256", counting("hmac", crypto.hmac_sha256))
-    monkeypatch.setattr(wire, "render", counting("render", wire.render))
-    monkeypatch.setattr(hmac, "compare_digest", counting("compare_digest", hmac.compare_digest))
-    return counts
-
-
 class TestServiceCheckWork:
     """What one service request costs a device, counted rather than timed.
 
@@ -428,14 +408,14 @@ class TestServiceCheckWork:
     def test_accepted_general_request(self, bulb, monkeypatch):
         bulb.sync()
         frame = bulb.g_frame(self.LIFETIME, self.TS)
-        counts = _count_calls(monkeypatch)
+        counts = count_calls(monkeypatch)
         assert bulb.call(frame) == b"OK LED=ON"
         assert counts == {"hmac": 3, "compare_digest": 2}
 
     def test_accepted_power_request(self, sensor, monkeypatch):
         sensor.sync(sync_val=5000)
         frame = sensor.pc_frame(5001)
-        counts = _count_calls(monkeypatch)
+        counts = count_calls(monkeypatch)
         assert sensor.call(frame) == b"OK LED=ON"
         assert counts == {"hmac": 1, "compare_digest": 1}
 

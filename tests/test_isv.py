@@ -9,16 +9,16 @@ import threading
 
 import pytest
 
-from kesic import crypto, kdc, wire
+from kesic import crypto, isv, kdc, wire
 from kesic.clock import VirtualClock
 from kesic.crypto import KeyRole
 from kesic.device import POWER
-from kesic.errors import CorruptState
+from kesic.errors import AuthFailure, CorruptState, IdMismatch
 from kesic.isv import DeviceRecord, DeviceRegistry, Isv, IsvConfig
 from kesic.provision import provision
 from kesic.rng import Rng
 
-from conftest import SMALL_FLEET
+from conftest import SMALL_FLEET, count_calls
 
 
 class Setup:
@@ -68,7 +68,8 @@ class Setup:
 
     # --- Kerberos client side ---------------------------------------------------
 
-    def authorization(self, user="alice", password=None):
+    def login(self, user="alice", password=None):
+        """The AS exchange: (TGT, K_C-TGS)."""
         if password is None:
             password = self.fleet.clients[user].spec.password
         resp = self.kdc.as_exchange(
@@ -76,19 +77,30 @@ class Setup:
         )
         key = crypto.derive_password_key(password, user.encode())
         payload = crypto.open_json(key, resp["sealed"])
-        k_c_tgs = kdc.key_from_b64(payload["k"], KeyRole.SESSION)
-        ident = self.fleet.clients[user]
-        authn = kdc.make_authenticator(k_c_tgs, user, ident.ad_c, self.clock.now_us(), self.rng)
-        resp = self.kdc.tgs_exchange(
-            {"op": "tgs", "id_v": "isv", "tgt": payload["tgt"], "authn": authn}
-        )
+        return payload["tgt"], kdc.key_from_b64(payload["k"], KeyRole.SESSION)
+
+    def tgs_request(self, ticket: str, key, user="alice") -> dict:
+        authn = kdc.make_authenticator(key, user, self.fleet.clients[user].ad_c, self.clock.now_us(), self.rng)
+        return {"op": "tgs", "id_v": "isv", "tgt": ticket, "authn": authn}
+
+    def service_ticket(self, user="alice", password=None):
+        """The AS and TGS exchanges: (ST for the IoT server, K_C-ISV)."""
+        tgt, k_c_tgs = self.login(user, password)
+        resp = self.kdc.tgs_exchange(self.tgs_request(tgt, k_c_tgs, user))
         out = crypto.open_json(k_c_tgs, resp["sealed"])
-        k_c_isv = kdc.key_from_b64(out["k"], KeyRole.SESSION)
-        authn2 = kdc.make_authenticator(k_c_isv, user, ident.ad_c, self.clock.now_us(), self.rng)
+        return out["st"], kdc.key_from_b64(out["k"], KeyRole.SESSION)
+
+    def token(self, ticket: str, key, user="alice") -> dict:
+        """Authorization header presenting ``ticket`` with a fresh authenticator."""
+        authn = kdc.make_authenticator(key, user, self.fleet.clients[user].ad_c, self.clock.now_us(), self.rng)
         token = base64.b64encode(
-            json.dumps({"st": out["st"], "authn": authn2}, sort_keys=True).encode()
+            json.dumps({"st": ticket, "authn": authn}, sort_keys=True).encode()
         ).decode()
-        return {"Authorization": "KESIC " + token}, k_c_isv
+        return {"Authorization": "KESIC " + token}
+
+    def authorization(self, user="alice", password=None):
+        st, k_c_isv = self.service_ticket(user, password)
+        return self.token(st, k_c_isv, user), k_c_isv
 
     def request_ticket(self, device: str, user="alice", headers=None, key=None):
         if headers is None:
@@ -208,6 +220,16 @@ class TestPowerSyncAndAttestation:
         resp = wire.SyncResponse.decode(payload)
         assert resp.sync_val == rec.co_pc
         assert resp.co_sync == 1
+
+    def test_accepted_attestation_computes_the_report_tag_once(self, s, monkeypatch):
+        """Attestation key, report tag and sync-response tag: three HMACs, and
+        the report is compared in constant time."""
+        s.push_sync("sensor", 1)
+        frame = s.report_frame("sensor", last_attest_challenge(s))
+        counts = count_calls(monkeypatch)
+        s.isv.sync.handle_attest(frame, "dev", s.send)
+        assert s.record("sensor").awake
+        assert (counts["hmac"], counts["compare_digest"]) == (3, 1)
 
     def test_mismatched_report_quarantines(self, s):
         s.push_sync("sensor", 1)
@@ -542,6 +564,52 @@ class TestTicketApi:
         status, _, _, _ = s.request_ticket("sensor")
         assert status == 200
         assert held == [True]
+
+
+class TestOneTicketShape:
+    """A TGT and a service ticket have one shape and one check, verify_ap.
+    The sealing key and the named id_v keep each ticket at its own service."""
+
+    def test_tgt_presented_to_the_ticket_api_is_refused(self, s):
+        tgt, k_c_tgs = s.login()
+        status, _, obj, _ = s.request_ticket("bulb", headers=s.token(tgt, k_c_tgs))
+        assert (status, obj["error"]) == (401, "KerberosAuthFailure")
+        assert obj["detail"].startswith("AuthFailure: ")
+
+    def test_service_ticket_presented_to_the_tgs_is_refused(self, s):
+        st, k_c_isv = s.service_ticket()
+        with pytest.raises(AuthFailure):
+            s.kdc.tgs_exchange(s.tgs_request(st, k_c_isv))
+
+    def test_ticket_naming_another_service_is_an_id_mismatch(self, s):
+        tgt, k_c_tgs = s.login()
+        plain = crypto.open_json(s.fleet.tgs_key, tgt)
+        # Under the TGS key, but addressed to the IoT server.
+        to_isv = crypto.seal_json(s.fleet.tgs_key, {**plain, "id_v": "isv"}, s.rng)
+        with pytest.raises(IdMismatch):
+            s.kdc.tgs_exchange(s.tgs_request(to_isv, k_c_tgs))
+        # Under the IoT server's key, but addressed to the TGS.
+        to_tgs = crypto.seal_json(s.fleet.service_key, plain, s.rng)
+        status, _, obj, _ = s.request_ticket("bulb", headers=s.token(to_tgs, k_c_tgs))
+        assert (status, obj["error"]) == (401, "KerberosAuthFailure")
+        assert obj["detail"].startswith("IdMismatch: ")
+
+    def test_one_verify_ap_per_tgs_request_and_per_ticket_fetch(self, world, monkeypatch):
+        calls = []
+        for module in (kdc, isv):
+            check = module.verify_ap
+
+            def counted(*args, _module=module.__name__, _check=check):
+                calls.append(_module)
+                return _check(*args)
+
+            monkeypatch.setattr(module, "verify_ap", counted)
+        session = world.clients["alice"]
+        session.login(world.fleet.clients["alice"].spec.password)
+        session.get_iot_ticket("bulb")  # TGS request, then ticket fetch
+        assert calls == ["kesic.kdc", "kesic.isv"]
+        session.get_iot_ticket("bulb")  # the service ticket is cached
+        assert calls == ["kesic.kdc", "kesic.isv", "kesic.isv"]
 
 
 def _held_by_another_thread(lock) -> bool:

@@ -61,7 +61,7 @@ class TestAsExchange:
         tgt = crypto.open_json(fleet.tgs_key, payload["tgt"])
         assert tgt["id_c"] == "alice"
         assert tgt["ad_c"] == 2001
-        assert tgt["id_tgs"] == "tgs"
+        assert tgt["id_v"] == "tgs"
         assert tgt["k"] == payload["k"]
 
     def test_unknown_client_is_uniform(self, setup):
@@ -108,7 +108,7 @@ class TestTgsExchange:
         assert st["id_c"] == "alice"
         assert st["ad_c"] == 2001
         assert st["id_v"] == "isv"
-        assert st["lf4"] == clock.now() + center.st_lifetime
+        assert st["lf"] == clock.now() + center.st_lifetime
         assert st["k"] == out["k"]
 
     def test_tampered_tgt_rejected(self, setup):
@@ -462,4 +462,4 @@ class TestKdcConfigFile:
             tgs(-61)
         out = crypto.open_json(k_c_tgs, tgs(59)["sealed"])
         st = crypto.open_json(fleet.service_key, out["st"])
-        assert out["lf4"] == st["lf4"] == clock.now() + 900
+        assert out["lf4"] == st["lf"] == clock.now() + 900

@@ -57,12 +57,21 @@ def fleet_with(**device) -> dict:
         ({"type": "GENERAL"}, "type must be general or power, not 'GENERAL'"),
         ({}, "bad fleet spec: 'type'"),
         ({"type": "power", "window": "x"}, "bad fleet spec: invalid literal"),
+        # A string is not spread into its characters: "alice" is no allow-list.
+        ({"type": "general", "allow": "alice"}, "bad fleet spec: expected a list of names, got 'alice'"),
+        ({"type": "general", "allow": [1]}, r"bad fleet spec: expected a list of names, got \[1\]"),
     ],
-    ids=["misspelt-type", "upper-case-type", "no-type", "non-integer-window"],
+    ids=["misspelt-type", "upper-case-type", "no-type", "non-integer-window", "allow-string", "allow-not-names"],
 )
 def test_bad_fleet_is_a_script_error(device, message):
     with pytest.raises(ScriptError, match=message):
         FleetSpec.from_dict(fleet_with(**device))
+
+
+def test_services_that_are_not_a_list_of_names_are_a_script_error():
+    fleet = {"clients": [{"name": "alice", "password": "pw-1", "services": "isv"}], "devices": []}
+    with pytest.raises(ScriptError, match="bad fleet spec: expected a list of names, got 'isv'"):
+        FleetSpec.from_dict(fleet)
 
 
 def test_fleet_fields_left_out_keep_the_spec_defaults():
