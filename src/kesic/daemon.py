@@ -67,13 +67,10 @@ def kdc_main(argv: list[str] | None = None) -> int:
     except (KesicError, OSError) as exc:
         return _start_failed(exc)
 
-    def handle(data: bytes, src, send) -> None:
-        send(src, center.handle_datagram(data, src))
-
     sock = _bind_udp(args.port)
     _announce_ready(f"kdc 127.0.0.1:{args.port}")
     try:
-        _udp_pump(sock, handle)
+        _udp_pump(sock, lambda data, src, send: send(src, center.handle_datagram(data)))
     except KeyboardInterrupt:
         return 0
     finally:
@@ -205,12 +202,12 @@ def device_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--state", default=None, help="sync-counter persistence JSON")
     args = parser.parse_args(argv)
 
-    sync_host, sync_port = parse_hostport(args.isv_addr)
-    if args.isv_attest_addr is not None:
-        attest_addr = parse_hostport(args.isv_attest_addr)
-    else:
-        attest_addr = (sync_host, sync_port + 1)
     try:
+        sync_host, sync_port = parse_hostport(args.isv_addr)
+        if args.isv_attest_addr is not None:
+            attest_addr = parse_hostport(args.isv_attest_addr)
+        else:
+            attest_addr = (sync_host, sync_port + 1)
         with open(args.memory_image, "rb") as fh:
             memory = fh.read()
         profile = DeviceProfile.from_json_obj(

@@ -2,7 +2,7 @@
 
 Single-threaded event loop over one UDP socket (real or simulated): frames
 are dispatched by their fixed length. The non-secure part owns the LED, the
-program memory image and the audit event list; every key-touching check is
+program memory image and the audit events; every key-touching check is
 delegated to the root-of-trust core. Service requests get explicit reply
 tokens (``OK [payload]`` / ``ERR <REASON>``); invalid sync and attestation
 traffic is dropped silently, as the server side treats silence as timeout.
@@ -10,15 +10,12 @@ traffic is dropped silently, as the server side treats silence as timeout.
 
 from __future__ import annotations
 
-import logging
-
 from .. import wire
 from ..clock import Clock
 from ..errors import NotSynced, WireError
+from ..events import Events
 from .profile import GENERAL, POWER, DeviceProfile
 from .rot import GeneralRot, PowerRot, Verdict
-
-logger = logging.getLogger(__name__)
 
 VERDICT_TOKENS = {
     Verdict.INVALID_REQUEST: b"ERR INVALID_REQUEST",
@@ -40,17 +37,12 @@ class _DeviceBase:
             raise ValueError(f"profile {profile.name} is not a {self.dtype} device")
         # Keys go straight into the RoT; the profile is not retained, so the
         # non-secure object tree holds no key material.
-        self.name = profile.name
-        self.id_dev = profile.id_dev
         self.led = False
         self.memory = bytearray(profile.memory)
-        self.events: list[dict] = []
+        self.events = Events(f"dev:{profile.name}")
         self._isv_sync_addr = profile.isv_sync_addr
         self._isv_attest_addr = profile.isv_attest_addr
         self._rot = self.ROT(profile, clock)
-
-    def _event(self, event: str, **extra) -> None:
-        self.events.append({"actor": f"dev:{self.name}", "event": event, **extra})
 
     @property
     def synced(self) -> bool:
@@ -59,7 +51,7 @@ class _DeviceBase:
     def boot(self, send) -> None:
         """(Re)start the sync phase; also used to retransmit after a timeout."""
         frame = self._rot.begin_sync()
-        self._event("sync-request", co_sync=frame.co_sync)
+        self.events.emit("sync-request", co_sync=frame.co_sync)
         send(self._isv_sync_addr, frame.encode())
 
     # --- datagram dispatch ---------------------------------------------------------
@@ -73,43 +65,43 @@ class _DeviceBase:
             self._extra_dispatch(data, src, send)
 
     def _extra_dispatch(self, data: bytes, src: object, send) -> None:
-        self._event("ignored", length=len(data))
+        self.events.emit("ignored", length=len(data))
 
     def _on_sync_response(self, data: bytes) -> None:
         try:
             frame = wire.SyncResponse.decode(data)
         except WireError:
-            self._event("sync-reject", error="FieldFormatError")
+            self.events.emit("sync-reject", error="FieldFormatError")
             return
         if self._rot.accept_sync_response(frame):
-            self._event("sync-ok", sync_val=frame.sync_val)
+            self.events.emit("sync-ok", sync_val=frame.sync_val)
         else:
-            self._event("sync-reject", error="AuthFailure")
+            self.events.emit("sync-reject", error="AuthFailure")
 
     def _on_service(self, data: bytes, src: object, send) -> None:
         try:
             frame = self.SERVICE_FRAME.decode(data)
         except WireError:
-            self._event("service", verdict="invalid-request", error="FieldFormatError")
+            self.events.emit("service", verdict="invalid-request", error="FieldFormatError")
             send(src, VERDICT_TOKENS[Verdict.INVALID_REQUEST])
             return
         try:
             verdict, payload = self._rot.handle_service(frame, bytes(self.memory))
         except NotSynced:
-            self._event("service", verdict="not-synced", cmd=frame.cmd)
+            self.events.emit("service", verdict="not-synced", cmd=frame.cmd)
             send(src, NOT_SYNCED_TOKEN)
             return
         if verdict is Verdict.ACCEPT and frame.cmd not in self.SUPPORTED_CMDS:
             # Crypto accepted but the command is not offered by this profile.
             verdict, payload = Verdict.INVALID_REQUEST, None
         if verdict is not Verdict.ACCEPT:
-            self._event("service", verdict=verdict.value, cmd=frame.cmd, id_c=frame.id_c)
+            self.events.emit("service", verdict=verdict.value, cmd=frame.cmd, id_c=frame.id_c)
             send(src, VERDICT_TOKENS[verdict])
             return
         if frame.cmd in (wire.CMD_LED_ON, wire.CMD_LED_OFF):
             self.led = frame.cmd == wire.CMD_LED_ON
             payload = b"LED=ON" if self.led else b"LED=OFF"
-        self._event("service", verdict="accept", cmd=frame.cmd, id_c=frame.id_c)
+        self.events.emit("service", verdict="accept", cmd=frame.cmd, id_c=frame.id_c)
         send(src, b"OK " + payload if payload else b"OK")
 
 
@@ -131,28 +123,27 @@ class PowerDevice(_DeviceBase):
     SUPPORTED_CMDS = frozenset({wire.CMD_LED_ON, wire.CMD_LED_OFF})
 
     def wake(self, send) -> None:
-        self._event("wake")
+        self.events.emit("wake")
         self.boot(send)
 
     def sleep(self) -> None:
         """Volatile state is lost on power-down; the flash counter survives."""
-        self._event("sleep")
+        self.events.emit("sleep")
         self._rot.desync()
 
     def _extra_dispatch(self, data: bytes, src: object, send) -> None:
         if len(data) != wire.AttestRequest.size():
-            self._event("ignored", length=len(data))
-            return
+            return super()._extra_dispatch(data, src, send)
         try:
             frame = wire.AttestRequest.decode(data)
         except WireError:
-            self._event("attest-request-ignored", error="FieldFormatError")
+            self.events.emit("attest-request-ignored", error="FieldFormatError")
             return
         response = self._rot.handle_attest_request(frame, bytes(self.memory))
         if response is None:
-            self._event("attest-request-ignored", error="AuthFailure")
+            self.events.emit("attest-request-ignored", error="AuthFailure")
             return
-        self._event("attest-report", challenge=frame.challenge)
+        self.events.emit("attest-report", challenge=frame.challenge)
         send(self._isv_attest_addr, response.encode())
 
 

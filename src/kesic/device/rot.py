@@ -19,7 +19,7 @@ from .. import crypto, wire
 from ..clock import Clock
 from ..crypto import KeyRole, SymmetricKey
 from ..durable import atomic_write
-from ..errors import CorruptState, NotSynced, ReplayDetected
+from ..errors import CorruptState, FieldFormatError, NotSynced, ReplayDetected
 from ..kdc import ReplayCache
 from .profile import DeviceProfile
 
@@ -60,8 +60,8 @@ class RotBase:
         with open(self._state_path, "rb") as fh:
             data = fh.read()
         try:
-            co_sync = json.loads(data)["co_sync"]
-        except (ValueError, KeyError, TypeError):
+            co_sync = wire.parse_json(data, self._state_path)["co_sync"]
+        except (FieldFormatError, KeyError):
             co_sync = None
         if isinstance(co_sync, bool) or not isinstance(co_sync, int) or co_sync < 0:
             raise CorruptState(f'{self._state_path} is not a {{"co_sync": <non-negative int>}} file')

@@ -78,7 +78,7 @@ class World:
         # Handlers close over the actors, not over the world, so a dropped
         # world is freed by reference counting alone.
         kdc, tickets = self.kdc, self.isv.tickets
-        self.transport.register("kdc", lambda data, src, send: send(src, kdc.handle_datagram(data, src)))
+        self.transport.register("kdc", lambda data, src, send: send(src, kdc.handle_datagram(data)))
         self.transport.register("isv:sync", self.isv.sync.handle_sync)
         self.transport.register("isv:attest", self.isv.sync.handle_attest)
 
@@ -150,7 +150,7 @@ class World:
             raise ScriptError(f"unknown client {name!r}") from None
 
     def all_events(self) -> list[dict]:
-        events = list(self.isv.events)
+        events = [*self.kdc.events, *self.isv.events]
         for name in sorted(self.devices):
             events.extend(self.devices[name].events)
         return events

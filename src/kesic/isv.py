@@ -30,7 +30,6 @@ from __future__ import annotations
 import errno
 import hmac
 import json
-import logging
 import os
 import re
 import threading
@@ -54,11 +53,10 @@ from .errors import (
     error_name,
 )
 from .device.profile import GENERAL, device_type
+from .events import Events
 from .kdc import ConfigReader, ReplayCache, verify_ap
 from .net import header
 from .rng import Rng
-
-logger = logging.getLogger(__name__)
 
 _HTTP_STATUS = {
     "KerberosAuthFailure": 401,
@@ -203,7 +201,7 @@ class SyncManager:
     """Device-facing UDP handlers: counter/time sync and attestation reports."""
 
     def __init__(
-        self, registry: DeviceRegistry, config: IsvConfig, clock: Clock, rng: Rng, events: list
+        self, registry: DeviceRegistry, config: IsvConfig, clock: Clock, rng: Rng, events: Events
     ) -> None:
         self.registry = registry
         self.id_isv = config.id_isv
@@ -214,27 +212,24 @@ class SyncManager:
         self.pending: dict[int, _PendingAttest] = {}
         self._lock = threading.Lock()
 
-    def _event(self, event: str, **extra) -> None:
-        self.events.append({"actor": "isv", "event": event, **extra})
-
     # --- sync port -------------------------------------------------------------
 
     def handle_sync(self, data: bytes, src: object, send) -> None:
         try:
             frame = wire.SyncRequest.decode(data)
         except WireError as exc:
-            self._event("sync-reject", device=None, error=error_name(exc))
+            self.events.emit("sync-reject", device=None, error=error_name(exc))
             return
         rec = self.registry.by_id.get(frame.id_dev)
         if rec is None:
-            self._event("sync-reject", device=frame.id_dev, error="UnknownDevice")
+            self.events.emit("sync-reject", device=frame.id_dev, error="UnknownDevice")
             return
         with rec.lock:
             if frame.co_sync not in (rec.co_sync, rec.co_sync + 1):
-                self._event("sync-reject", device=rec.name, error="CounterOutOfRange")
+                self.events.emit("sync-reject", device=rec.name, error="CounterOutOfRange")
                 return
             if not crypto.verify_tag(rec.kl_sync, wire.mac_input(frame), frame.mac):
-                self._event("sync-reject", device=rec.name, error="AuthFailure")
+                self.events.emit("sync-reject", device=rec.name, error="AuthFailure")
                 return
             rec.co_sync = frame.co_sync
             self.registry.snapshot(rec)
@@ -244,7 +239,7 @@ class SyncManager:
             resp = wire.SyncResponse(
                 id_isv=self.id_isv, co_sync=frame.co_sync, sync_val=sync_val, mac=mac.hex
             )
-            self._event("sync-accept", device=rec.name, co_sync=frame.co_sync)
+            self.events.emit("sync-accept", device=rec.name, co_sync=frame.co_sync)
             send(src, resp.encode())
         else:
             # Power-constrained: interpose an attestation round trip before
@@ -258,7 +253,7 @@ class SyncManager:
                     deadline=self.clock.now() + self.attest_timeout,
                 )
             mac = crypto.attest_request_mac(rec.kl_sync, self.id_isv, challenge)
-            self._event("attest-challenge", device=rec.name)
+            self.events.emit("attest-challenge", device=rec.name)
             send(src, wire.AttestRequest(id_isv=self.id_isv, challenge=challenge, mac=mac.hex).encode())
 
     # --- attestation report port -------------------------------------------------
@@ -267,21 +262,21 @@ class SyncManager:
         try:
             frame = wire.AttestResponse.decode(data)
         except WireError as exc:
-            self._event("attest-reject", device=None, error=error_name(exc))
+            self.events.emit("attest-reject", device=None, error=error_name(exc))
             return
         rec = self.registry.by_id.get(frame.id_dev)
         if rec is None:
-            self._event("attest-reject", device=frame.id_dev, error="UnknownDevice")
+            self.events.emit("attest-reject", device=frame.id_dev, error="UnknownDevice")
             return
         with self._lock:
             pend = self.pending.get(frame.id_dev)
         if pend is None:
-            self._event("attest-reject", device=rec.name, error="AuthFailure")
+            self.events.emit("attest-reject", device=rec.name, error="AuthFailure")
             return
         if self.clock.now() > pend.deadline:
             with self._lock:
                 self.pending.pop(frame.id_dev, None)
-            self._event("attest-reject", device=rec.name, error="Timeout")
+            self.events.emit("attest-reject", device=rec.name, error="Timeout")
             return
         att_key = crypto.derive_attestation_key(rec.kl_key, pend.challenge)
         expected = crypto.attest_digest(att_key, rec.ref_memory_hash).hex
@@ -292,10 +287,10 @@ class SyncManager:
                 if frame.attst_hmac in rec.past_reports:
                     # Bit-identical to a past accepted report: a stale replay,
                     # not evidence of compromise; no quarantine.
-                    self._event("attest-reject", device=rec.name, error="AuthFailure")
+                    self.events.emit("attest-reject", device=rec.name, error="AuthFailure")
                 else:
                     rec.healthy = False
-                    self._event("attest-reject", device=rec.name, error="AttestationMismatch")
+                    self.events.emit("attest-reject", device=rec.name, error="AttestationMismatch")
                 return
             rec.past_reports.add(expected)
             # Counter re-initialization, clamped so co_pc never decreases
@@ -309,7 +304,7 @@ class SyncManager:
         with self._lock:
             self.pending.pop(frame.id_dev, None)
         mac = crypto.sync_response_mac(rec.kl_sync, self.id_isv, co_sync, sync_val)
-        self._event("attest-accept", device=rec.name, co_pc=sync_val)
+        self.events.emit("attest-accept", device=rec.name, co_pc=sync_val)
         send(
             pend.reply_to,
             wire.SyncResponse(id_isv=self.id_isv, co_sync=co_sync, sync_val=sync_val, mac=mac.hex).encode(),
@@ -323,14 +318,14 @@ class SyncManager:
                 del self.pending[id_dev]
         for id_dev in stale:
             rec = self.registry.by_id[id_dev]
-            self._event("attest-reject", device=rec.name, error="Timeout")
+            self.events.emit("attest-reject", device=rec.name, error="Timeout")
 
 
 class TicketManager:
     """HTTP JSON API issuing device tickets to Kerberos-authenticated clients."""
 
     def __init__(
-        self, registry: DeviceRegistry, config: IsvConfig, clock: Clock, rng: Rng, events: list
+        self, registry: DeviceRegistry, config: IsvConfig, clock: Clock, rng: Rng, events: Events
     ) -> None:
         self.registry = registry
         self.kerberos_id = config.kerberos_id
@@ -341,9 +336,6 @@ class TicketManager:
         self.events = events
         self.iot_ticket_lifetime = config.iot_ticket_lifetime
         self._replay = ReplayCache(config.clock_skew * 1_000_000)
-
-    def _event(self, event: str, **extra) -> None:
-        self.events.append({"actor": "isv", "event": event, **extra})
 
     # --- HTTP entry point --------------------------------------------------------
 
@@ -359,7 +351,7 @@ class TicketManager:
         except KesicError as exc:
             name = error_name(exc)
             status = _HTTP_STATUS.get(name, 400)
-            self._event("ticket-denied", error=name, detail=str(exc))
+            self.events.emit("ticket-denied", error=name, detail=str(exc))
             body_out = json.dumps({"error": name, "detail": str(exc)}, sort_keys=True)
             return status, {"Content-Type": "application/json"}, body_out.encode()
         out_headers = {"Content-Type": "application/json", "X-Nonce-Kind": nonce_kind}
@@ -432,7 +424,7 @@ class TicketManager:
             ticket=ticket.hex,
             timestamp=now,
         )
-        self._event("ticket-issued", device=rec.name, client=req.user_name, nonce=nonce)
+        self.events.emit("ticket-issued", device=rec.name, client=req.user_name, nonce=nonce)
         sealed = crypto.seal_json(identity.session_key, json.loads(payload.to_json()), self.rng)
         return sealed, kind
 
@@ -498,7 +490,7 @@ class Isv:
         self.config = config
         self.clock = clock or SystemClock()
         self.rng = rng or Rng()
-        self.events: list[dict] = []
+        self.events = Events("isv")
         self.registry = DeviceRegistry(records, state_path=state_path)
         self.sync = SyncManager(self.registry, config, self.clock, self.rng, self.events)
         self.tickets = TicketManager(self.registry, config, self.clock, self.rng, self.events)

@@ -30,7 +30,6 @@ UnknownPrincipal error to avoid enumeration.
 from __future__ import annotations
 
 import json
-import logging
 import threading
 from base64 import b64decode, b64encode
 from collections import deque
@@ -51,9 +50,8 @@ from .errors import (
     UnknownPrincipal,
     error_name,
 )
+from .events import Events
 from .rng import Rng
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TGS_ID = "tgs"
 
@@ -252,6 +250,7 @@ class Kdc:
         self.tgt_lifetime = tgt_lifetime
         self.st_lifetime = st_lifetime
         self._replay = ReplayCache(clock_skew * 1_000_000)
+        self.events = Events("kdc")
 
     @classmethod
     def from_json_obj(cls, obj: dict, clock: Clock | None = None, rng: Rng | None = None) -> "Kdc":
@@ -289,7 +288,7 @@ class Kdc:
             self.db.tgs_key, client.name, client.ad_c, self.db.tgs_id, self.tgt_lifetime
         )
         payload = {"k": tgt["k"], "ts": tgt["ts"], "lf2": tgt["lf"], "tgt": sealed}
-        logger.debug("AS issued TGT for %s (lf2=%d)", client.name, tgt["lf"])
+        self.events.emit("as-issued", client=client.name)
         return {"sealed": seal_json(client.key, payload, self.rng)}
 
     def tgs_exchange(self, req: dict) -> dict:
@@ -305,16 +304,14 @@ class Kdc:
 
         st, sealed = self._seal_ticket(service_key, identity.id_c, identity.ad_c, id_v, self.st_lifetime)
         payload = {"k": st["k"], "id_v": id_v, "ts": st["ts"], "lf4": st["lf"], "st": sealed}
-        logger.debug("TGS issued service ticket %s -> %s (lf4=%d)", identity.id_c, id_v, st["lf"])
+        self.events.emit("tgs-issued", client=identity.id_c, service=id_v)
         return {"sealed": seal_json(identity.session_key, payload, self.rng)}
 
     # --- transport entry point -------------------------------------------------
 
-    def handle_datagram(self, data: bytes, src: object = None) -> bytes:
+    def handle_datagram(self, data: bytes) -> bytes:
         try:
             req = wire.parse_json(data, "kdc request")
-            if not isinstance(req, dict):
-                raise FieldFormatError("request must be a JSON object")
             op = req.get("op")
             if op == "as":
                 resp = self.as_exchange(req)
@@ -324,7 +321,8 @@ class Kdc:
                 raise FieldFormatError(f"unknown op {op!r}")
         except KesicError as exc:
             resp = {"error": error_name(exc), "detail": str(exc)}
-            logger.debug("kdc rejected request from %s: %s", src, resp["error"])
+            self.events.emit("request-rejected", error=resp["error"])
         except (ValueError, KeyError, TypeError) as exc:
             resp = {"error": "FieldFormatError", "detail": f"malformed request: {exc}"}
+            self.events.emit("request-rejected", error="FieldFormatError")
         return json.dumps(resp, sort_keys=True).encode("utf-8")

@@ -270,6 +270,8 @@ class Network:
 
 def parse_hostport(addr: str) -> tuple[str, int]:
     host, _, port = addr.rpartition(":")
+    if not (port.isascii() and port.isdecimal() and len(port) <= 5 and int(port) <= 65535):
+        raise FieldFormatError(f"address must be host:port with a port of 0-65535, got {addr!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -333,8 +335,9 @@ class SocketNetwork(Network):
         socks = self._conns.udp
         sock = socks.get(key)
         if sock is None:
+            peer = parse_hostport(key)
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            sock.connect(parse_hostport(key))
+            sock.connect(peer)
             socks[key] = sock
         if sock.gettimeout() != timeout:
             sock.settimeout(timeout)  # a syscall, and a GIL release, on every call

@@ -81,11 +81,11 @@ class FleetSpec:
                     name=d["name"],
                     dtype=d["type"],
                     **_given(d, ("allow",), _names),
-                    **_given(d, ("window", "freshness_window", "memory_size"), int),
+                    **_given(d, ("window", "freshness_window", "memory_size"), _integer),
                 )
                 for d in obj["devices"]
             )
-            return cls(clients=clients, devices=devices, **_given(obj, _FLEET_POLICY, int))
+            return cls(clients=clients, devices=devices, **_given(obj, _FLEET_POLICY, _integer))
         except (KeyError, TypeError, ValueError) as exc:
             raise ScriptError(f"bad fleet spec: {exc}") from exc
 
@@ -97,6 +97,12 @@ def _given(obj: dict, names: tuple[str, ...], convert) -> dict:
     """The fields among ``names`` that ``obj`` sets, converted; a spec's dataclass
     defaults fill in the rest."""
     return {name: convert(obj[name]) for name in names if name in obj}
+
+
+def _integer(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):  # JSON true is no integer
+        raise ValueError(f"invalid literal for an integer: {value!r}")
+    return value
 
 
 def _names(value: object) -> tuple[str, ...]:

@@ -310,21 +310,22 @@ class ServiceRequestPC(_Frame):
 
 # --- ticket API JSON shapes ---------------------------------------------------
 
-def parse_json(data: str | bytes, label: str) -> Any:
-    """``json.loads`` for bytes from the network.
+def parse_json(data: str | bytes, label: str) -> dict:
+    """``json.loads`` for bytes from the network, which must hold a JSON object.
 
     Every defect is a FieldFormatError, including nesting too deep for the
     parser, which surfaces as RecursionError rather than ValueError.
     """
     try:
-        return json.loads(data)
+        obj = json.loads(data)
     except (ValueError, RecursionError) as exc:
         raise FieldFormatError(f"{label} is not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FieldFormatError(f"{label} is not a JSON object")
+    return obj
 
 
 def _require_exact_keys(obj: dict, keys: tuple[str, ...], label: str) -> None:
-    if not isinstance(obj, dict):
-        raise FieldFormatError(f"{label} must be a JSON object")
     got = set(obj)
     want = set(keys)
     if got != want:

@@ -257,6 +257,13 @@ class TestCacheFile:
         assert session.call_device("bulb", "LED_ON").accepted
         assert CredentialCache(str(path)).devices.keys() == {"bulb"}
 
+    @pytest.mark.parametrize("text", ["[]", "7", "null"])
+    def test_file_that_holds_no_object_loads_as_an_empty_cache(self, tmp_path, text):
+        path = tmp_path / "alice.cache.json"
+        path.write_text(text)
+        cache = CredentialCache(str(path))
+        assert (cache.tgt, cache.services, cache.devices) == (None, {}, {})
+
     def test_existing_world_readable_file_ends_owner_only(self, tmp_path):
         path = tmp_path / "old.cache.json"
         path.write_text("{}")

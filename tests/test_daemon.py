@@ -270,3 +270,25 @@ def test_client_identity_that_is_not_json_is_a_named_error(tmp_path, capsys):
     (tmp_path / "alice.json").write_text("")
     assert cli.main(_argv(tmp_path, MAINS["kesic-client"][1])) == cli.EXIT_ERROR
     assert "error: FieldFormatError: " in capsys.readouterr().err
+
+
+BAD_ADDRS = ["localhost", "127.0.0.1:", "127.0.0.1:http", "127.0.0.1:70000", "127.0.0.1:-1", "127.0.0.1:٣"]
+BAD_ADDR_IDS = ["no-port", "empty-port", "named-port", "port-too-large", "negative-port", "non-ascii-digit"]
+
+
+@pytest.mark.parametrize("option", ["--isv-addr", "--isv-attest-addr"])
+@pytest.mark.parametrize("addr", BAD_ADDRS, ids=BAD_ADDR_IDS)
+def test_device_address_without_a_valid_port_is_a_one_line_error(option, addr, config_files, capsys, no_socket):
+    main, args = MAINS["kesic-device"]
+    assert main([*_argv(config_files, args), option, addr]) == 2
+    assert_one_line_error(capsys, f"FieldFormatError: address must be host:port with a port of 0-65535, got {addr!r}")
+
+
+@pytest.mark.parametrize("addr", BAD_ADDRS, ids=BAD_ADDR_IDS)
+def test_client_kdc_address_without_a_valid_port_is_a_named_error(addr, config_files, tmp_path, capsys, no_socket):
+    argv = [
+        "--identity", str(config_files / "alice.json"), "--kdc-addr", addr,
+        "--cache", str(tmp_path / "alice.cache.json"), "login", "--password", "pw-1",
+    ]
+    assert cli.main(argv) == cli.EXIT_ERROR
+    assert_one_line_error(capsys, f"FieldFormatError: address must be host:port with a port of 0-65535, got {addr!r}")

@@ -150,8 +150,8 @@ class TestSyncHandshake:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "not json", '{"counter": 3}', '{"co_sync": "x"}', '{"co_sync": true}', '{"co_sync": -1}', "[1]"],
-        ids=["empty", "not-json", "no-key", "string", "true", "negative", "not-an-object"],
+        ["", "not json", '{"counter": 3}', '{"co_sync": "x"}', '{"co_sync": true}', '{"co_sync": -1}', "[1]", "[" * 100_000],
+        ids=["empty", "not-json", "no-key", "string", "true", "negative", "not-an-object", "deeply-nested"],
     )
     def test_malformed_state_file_is_corrupt_state(self, tmp_path, text):
         """A --state file that is not {"co_sync": <non-negative int>} stops the

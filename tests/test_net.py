@@ -326,6 +326,20 @@ class TestReadHead:
         assert rfile.read() == b"body"
 
 
+@pytest.mark.parametrize(
+    "addr, expected",
+    [("127.0.0.1:0", ("127.0.0.1", 0)), (":8750", ("127.0.0.1", 8750)), ("kdc.example:65535", ("kdc.example", 65535))],
+)
+def test_parse_hostport(addr, expected):
+    assert net.parse_hostport(addr) == expected
+
+
+@pytest.mark.parametrize("addr", ["localhost", "h:", "h:65536", "h:+1", "h: 1", "h:1_0", "h:²", "h:" + "9" * 5000])
+def test_address_without_a_port_of_0_to_65535_is_a_named_error(addr):
+    with pytest.raises(FieldFormatError, match="address must be host:port"):
+        net.parse_hostport(addr)
+
+
 class TestUdp:
     def test_calls_to_one_peer_reuse_one_socket(self, udp_server, network):
         sources = []

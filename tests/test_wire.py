@@ -209,6 +209,12 @@ def test_ticket_request_json_exact_keys():
         wire.TicketRequestJson.from_json("not json")
 
 
+@pytest.mark.parametrize("text", ["[]", "5", '"text"', "null", "true"])
+def test_parse_json_wants_an_object(text):
+    with pytest.raises(FieldFormatError, match="^reply is not a JSON object$"):
+        wire.parse_json(text, "reply")
+
+
 def test_ticket_response_json_round_trip_and_validation():
     resp = wire.TicketResponseJson(
         device_id=101, nonce=1_700_000_600, session_key="a" * 64, ticket="b" * 64, timestamp=1_700_000_000

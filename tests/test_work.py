@@ -73,6 +73,40 @@ def power_calls(world: World):
             world.clock.advance(1)
 
 
+def login_and_fetch(world: World):
+    """Login, then a general ticket fetch, which takes a new service ticket
+    from the TGS, 4 a virtual second: the KDC's and the ticket API's replay
+    windows hold 40 of them."""
+    session = world.clients["alice"]
+
+    def login_then_fetch():
+        session.login(PASSWORD)
+        return session.get_iot_ticket("gen0")
+
+    for i in itertools.count(1):
+        yield login_then_fetch
+        if i % 4 == 0:
+            world.clock.advance(1)
+
+
+def wake_and_attest(world: World):
+    """A power device's wake cycle, 4 a virtual second: its sync request,
+    the IoT server's challenge, its report and the sync response."""
+    device, send = world.devices["pow0"], world.transport.sender_for("dev:pow0")
+
+    def wake():
+        device.wake(send)
+        world.transport.pump()
+
+    for i in itertools.count(1):
+        device.sleep()
+        world.isv.registry.mark_asleep("pow0")
+        yield wake
+        assert device.synced and world.isv.registry.by_name["pow0"].awake
+        if i % 4 == 0:
+            world.clock.advance(1)
+
+
 def calls_in(op) -> int:
     """Python and C calls made while ``op()`` runs, with the collector off."""
     calls = 0
@@ -108,8 +142,8 @@ def calls_per_op(plan, devices: int, n: int, block: int) -> list[float]:
 
 @pytest.mark.parametrize(
     "plan, n, block",
-    [(general_calls, 120, 100), (power_calls, 64, 64)],
-    ids=["general-call", "power-fetch-and-call"],
+    [(general_calls, 120, 100), (power_calls, 64, 64), (login_and_fetch, 64, 64), (wake_and_attest, 64, 64)],
+    ids=["general-call", "power-fetch-and-call", "login-and-fetch", "wake-and-attest"],
 )
 def test_calls_per_op_are_flat_in_fleet_size_and_history(plan, n, block):
     counts = {
