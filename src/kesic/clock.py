@@ -11,7 +11,6 @@ keeps the (id, ts) replay caches honest without moving protocol time.
 from __future__ import annotations
 
 import time
-import weakref
 
 
 class Clock:
@@ -53,7 +52,6 @@ class VirtualClock(Clock):
     def __init__(self, start: int = 1_700_000_000) -> None:
         self._now = int(start)
         self._last_us = 0
-        self._listeners: list = []
 
     def now(self) -> int:
         return self._now
@@ -70,17 +68,3 @@ class VirtualClock(Clock):
         if seconds < 0:
             raise ValueError("virtual clock cannot run backwards")
         self._now += int(seconds)
-        for ref in list(self._listeners):
-            fn = ref()
-            if fn is not None:
-                fn(self._now)
-
-    def on_advance(self, method) -> None:
-        """Register a bound method ``method(now)`` to run after every advance
-        (e.g. timeout sweeps).
-
-        The clock holds it weakly: its owner usually holds the clock too, and
-        the pair must not keep each other alive.
-        """
-        self._listeners.append(weakref.WeakMethod(method))
-

@@ -20,7 +20,7 @@ from ..clock import Clock
 from ..crypto import KeyRole, SymmetricKey
 from ..durable import atomic_write
 from ..errors import CorruptState, FieldFormatError, NotSynced, ReplayDetected
-from ..kdc import ReplayCache
+from ..kdc import ReplayCache, typed
 from .profile import DeviceProfile
 
 __all__ = ["Verdict", "RotBase", "GeneralRot", "PowerRot"]
@@ -60,10 +60,10 @@ class RotBase:
         with open(self._state_path, "rb") as fh:
             data = fh.read()
         try:
-            co_sync = wire.parse_json(data, self._state_path)["co_sync"]
-        except (FieldFormatError, KeyError):
-            co_sync = None
-        if isinstance(co_sync, bool) or not isinstance(co_sync, int) or co_sync < 0:
+            co_sync = typed(wire.parse_json(data, self._state_path)["co_sync"], int)
+        except (FieldFormatError, KeyError, TypeError):
+            co_sync = -1
+        if co_sync < 0:
             raise CorruptState(f'{self._state_path} is not a {{"co_sync": <non-negative int>}} file')
         return co_sync
 

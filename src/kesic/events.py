@@ -9,6 +9,8 @@ EVENTS_KEPT = 4096
 
 
 class Events(deque):
+    __slots__ = ("actor",)  # no instance __dict__: one ring per actor
+
     def __init__(self, actor: str) -> None:
         super().__init__(maxlen=EVENTS_KEPT)
         self.actor = actor

@@ -73,7 +73,6 @@ class World:
         self.kdc = Kdc.from_json_obj(self.fleet.kdc_json(), clock=self.clock, rng=self.rng)
         config, records = IsvConfig.from_json_obj(self.fleet.isv_json())
         self.isv = Isv(config, records, clock=self.clock, rng=self.rng)
-        self.clock.on_advance(self.isv.sync.expire_pending)
 
         # Handlers close over the actors, not over the world, so a dropped
         # world is freed by reference counting alone.
@@ -291,6 +290,7 @@ class ScenarioRunner:
 
     def _op_advance_clock(self, seconds: int):
         self.world.clock.advance(int(seconds))
+        self.world.isv.sync.expire_pending()
         self.world.transport.pump()
         return {"now": self.world.clock.now()}
 

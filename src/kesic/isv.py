@@ -12,9 +12,11 @@ State rules enforced here:
   * sync counters accept exactly {local, local+1} and never decrease;
   * a power-constrained device earns tickets only between a successful
     attested sync (awake, healthy) and the end of its wake cycle;
-  * an attestation report that matches neither the reference image nor any
-    previously accepted report quarantines the device for the rest of the
-    wake cycle;
+  * each attestation round ends once: its report, late or not, or the
+    deadline sweep takes it out of ``pending``;
+  * an attestation report that matches neither the reference image nor the
+    device's last accepted report quarantines the device for the rest of
+    the wake cycle;
   * co_pc is read-and-incremented atomically per issued ticket, so
     concurrent grants carry distinct consecutive counters;
   * with a state path, every counter change is fsync'd to the journal
@@ -84,7 +86,7 @@ class DeviceRecord:
     co_pc: int = 0
     awake: bool = False
     healthy: bool = True
-    past_reports: set[str] = field(default_factory=set)
+    last_report: str = ""  # a replay of it is stale, not compromise
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
 
@@ -269,30 +271,26 @@ class SyncManager:
             self.events.emit("attest-reject", device=frame.id_dev, error="UnknownDevice")
             return
         with self._lock:
-            pend = self.pending.get(frame.id_dev)
+            pend = self.pending.pop(frame.id_dev, None)
         if pend is None:
             self.events.emit("attest-reject", device=rec.name, error="AuthFailure")
             return
         if self.clock.now() > pend.deadline:
-            with self._lock:
-                self.pending.pop(frame.id_dev, None)
             self.events.emit("attest-reject", device=rec.name, error="Timeout")
             return
         att_key = crypto.derive_attestation_key(rec.kl_key, pend.challenge)
         expected = crypto.attest_digest(att_key, rec.ref_memory_hash).hex
         with rec.lock:
             if not hmac.compare_digest(expected, frame.attst_hmac):
-                with self._lock:
-                    self.pending.pop(frame.id_dev, None)
-                if frame.attst_hmac in rec.past_reports:
-                    # Bit-identical to a past accepted report: a stale replay,
-                    # not evidence of compromise; no quarantine.
+                if frame.attst_hmac == rec.last_report:
+                    # Bit-identical to the last accepted report: a stale
+                    # replay, not evidence of compromise; no quarantine.
                     self.events.emit("attest-reject", device=rec.name, error="AuthFailure")
                 else:
                     rec.healthy = False
                     self.events.emit("attest-reject", device=rec.name, error="AttestationMismatch")
                 return
-            rec.past_reports.add(expected)
+            rec.last_report = expected
             # Counter re-initialization, clamped so co_pc never decreases
             # even under a frozen virtual clock.
             rec.co_pc = max(self.clock.now(), rec.co_pc)
@@ -301,8 +299,6 @@ class SyncManager:
             rec.healthy = True
             sync_val = rec.co_pc
             co_sync = pend.co_sync
-        with self._lock:
-            self.pending.pop(frame.id_dev, None)
         mac = crypto.sync_response_mac(rec.kl_sync, self.id_isv, co_sync, sync_val)
         self.events.emit("attest-accept", device=rec.name, co_pc=sync_val)
         send(
@@ -310,8 +306,8 @@ class SyncManager:
             wire.SyncResponse(id_isv=self.id_isv, co_sync=co_sync, sync_val=sync_val, mac=mac.hex).encode(),
         )
 
-    def expire_pending(self, now: int | None = None) -> None:
-        now = self.clock.now() if now is None else now
+    def expire_pending(self) -> None:
+        now = self.clock.now()
         with self._lock:
             stale = [id_dev for id_dev, p in self.pending.items() if now > p.deadline]
             for id_dev in stale:

@@ -126,25 +126,26 @@ class ConfigReader:
             raise FieldFormatError(f"{self.entry}: bad {name!r} field: {exc}") from exc
 
     def integer(self, name: str) -> int:
-        return self.field(name, lambda value: _typed(value, int))
+        return self.field(name, lambda value: typed(value, int))
 
     def text(self, name: str) -> str:
-        return self.field(name, lambda value: _typed(value, str))
+        return self.field(name, lambda value: typed(value, str))
 
     def key(self, name: str, role: KeyRole) -> SymmetricKey:
-        return self.field(name, lambda value: key_from_b64(_typed(value, str), role))
+        return self.field(name, lambda value: key_from_b64(typed(value, str), role))
 
     def names(self, name: str) -> frozenset[str]:
-        return self.field(name, lambda value: frozenset(_typed(v, str) for v in _typed(value, list)))
+        return self.field(name, lambda value: frozenset(typed(v, str) for v in typed(value, list)))
 
     def entries(self, name: str, label: str) -> dict[str, "ConfigReader"]:
         """Field ``name``'s table of objects, each named ``label 'key'`` in errors."""
-        table = self.field(name, lambda value: _typed(value, dict))
+        table = self.field(name, lambda value: typed(value, dict))
         return {item: ConfigReader(f"{label} {item!r}", obj) for item, obj in table.items()}
 
 
-def _typed(value: object, kind: type):
-    if isinstance(value, bool) or not isinstance(value, kind):  # JSON true is no integer
+def typed(value: object, kind: type):
+    """``value`` if it is a ``kind``, else TypeError; JSON true is no int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
     return value
 
@@ -282,8 +283,7 @@ class Kdc:
         client = self.db.clients.get(id_c)
         if client is None or req.get("id_tgs") != self.db.tgs_id:
             raise UnknownPrincipal("unknown principal")
-        if not isinstance(req.get("ts"), int):
-            raise FieldFormatError("as request needs an integer ts")
+        ConfigReader("as request", req).integer("ts")
         tgt, sealed = self._seal_ticket(
             self.db.tgs_key, client.name, client.ad_c, self.db.tgs_id, self.tgt_lifetime
         )

@@ -16,12 +16,13 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 from .client import DEFAULT_ISV_ID
 from .crypto import KeyRole, SymmetricKey, derive_password_key
 from .device.profile import DEVICE_TYPES
 from .errors import ScriptError
-from .kdc import DEFAULT_TGS_ID, key_b64
+from .kdc import DEFAULT_TGS_ID, key_b64, typed
 from .rng import Rng
 
 # The protocol defaults, for a FleetSpec or DeviceSpec that leaves a field
@@ -91,18 +92,13 @@ class FleetSpec:
 
 
 _FLEET_POLICY = ("iot_ticket_lifetime", "attest_timeout", "clock_skew", "tgt_lifetime", "st_lifetime")
+_integer = partial(typed, kind=int)  # the config files' integer rule
 
 
 def _given(obj: dict, names: tuple[str, ...], convert) -> dict:
     """The fields among ``names`` that ``obj`` sets, converted; a spec's dataclass
     defaults fill in the rest."""
     return {name: convert(obj[name]) for name in names if name in obj}
-
-
-def _integer(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):  # JSON true is no integer
-        raise ValueError(f"invalid literal for an integer: {value!r}")
-    return value
 
 
 def _names(value: object) -> tuple[str, ...]:

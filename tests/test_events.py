@@ -22,6 +22,12 @@ def test_events_keep_the_newest_events_kept():
     assert sink[-1] == {"actor": "dev:bulb", "event": "service", "n": EVENTS_KEPT + 9}
 
 
+def test_an_events_ring_has_no_instance_dict():
+    sink = Events("isv")
+    assert not hasattr(sink, "__dict__")
+    assert sink.actor == "isv"
+
+
 def test_a_device_keeps_only_its_newest_events(monkeypatch):
     monkeypatch.setattr(events, "EVENTS_KEPT", 8)
     world = World.build(SMALL_FLEET, seed=3)

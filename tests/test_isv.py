@@ -255,6 +255,48 @@ class TestPowerSyncAndAttestation:
         assert s.events(event="attest-reject", device="sensor", error="AuthFailure")
         assert not s.events(event="attest-reject", device="sensor", error="AttestationMismatch")
 
+    def test_older_accepted_report_quarantines(self, s):
+        """Only the last accepted report is kept, so an older one is no
+        stale replay: it matches nothing the server holds."""
+        s.push_sync("sensor", 1)
+        report1 = s.report_frame("sensor", last_attest_challenge(s))
+        s.isv.sync.handle_attest(report1, "dev", s.send)
+        s.push_sync("sensor", 2)
+        s.isv.sync.handle_attest(s.report_frame("sensor", last_attest_challenge(s)), "dev", s.send)
+        s.push_sync("sensor", 3)
+        s.isv.sync.handle_attest(report1, "dev", s.send)
+        assert not s.record("sensor").healthy
+        assert s.events(event="attest-reject", device="sensor", error="AttestationMismatch")
+
+    def test_correct_report_after_a_mismatch_finds_no_round(self, s):
+        s.push_sync("sensor", 1)
+        challenge = last_attest_challenge(s)
+        bad = bytearray(s.mat("sensor").memory)
+        bad[0] ^= 0xFF
+        s.isv.sync.handle_attest(s.report_frame("sensor", challenge, bytes(bad)), "dev", s.send)
+        s.isv.sync.handle_attest(s.report_frame("sensor", challenge), "dev", s.send)
+        rec = s.record("sensor")
+        assert not rec.healthy and not rec.awake
+        assert s.events(event="attest-reject", device="sensor", error="AuthFailure")
+
+    def test_sweep_during_an_accepted_report_ends_the_round_once(self, s, monkeypatch):
+        """The report takes its round before any check, so a deadline sweep
+        that runs while the report is verified finds nothing to time out."""
+        s.push_sync("sensor", 1)
+        frame = s.report_frame("sensor", last_attest_challenge(s))
+        derive = crypto.derive_attestation_key
+
+        def derive_while_the_sweep_runs(*args):
+            s.clock.advance(31)
+            s.isv.sync.expire_pending()
+            return derive(*args)
+
+        monkeypatch.setattr(crypto, "derive_attestation_key", derive_while_the_sweep_runs)
+        s.isv.sync.handle_attest(frame, "dev", s.send)
+        ends = [e["event"] for e in s.isv.events if e["event"] in ("attest-accept", "attest-reject")]
+        assert ends == ["attest-accept"]
+        assert s.record("sensor").awake
+
     def test_report_without_pending_round_rejected(self, s):
         s.isv.sync.handle_attest(s.report_frame("sensor", "ab" * 16), "dev", s.send)
         assert s.events(event="attest-reject", device="sensor", error="AuthFailure")
@@ -269,7 +311,8 @@ class TestPowerSyncAndAttestation:
 
     def test_expire_pending_sweeps_deadlines(self, s):
         s.push_sync("sensor", 1)
-        s.isv.sync.expire_pending(s.clock.now() + 31)
+        s.clock.advance(31)
+        s.isv.sync.expire_pending()
         assert s.events(event="attest-reject", device="sensor", error="Timeout")
 
     def test_challenge_is_fresh_per_round(self, s):

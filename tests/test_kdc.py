@@ -83,8 +83,9 @@ class TestAsExchange:
 
     def test_non_integer_timestamp_rejected(self, setup):
         _, _, _, center = setup
-        with pytest.raises(FieldFormatError):
-            center.as_exchange({"op": "as", "id_c": "alice", "id_tgs": "tgs", "ts": "noon"})
+        for ts in ("noon", True):  # JSON true is no integer
+            with pytest.raises(FieldFormatError):
+                center.as_exchange({"op": "as", "id_c": "alice", "id_tgs": "tgs", "ts": ts})
 
 
 class TestTgsExchange:

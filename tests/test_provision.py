@@ -56,14 +56,14 @@ def fleet_with(**device) -> dict:
         ({"type": "gneral"}, "type must be general or power, not 'gneral'"),
         ({"type": "GENERAL"}, "type must be general or power, not 'GENERAL'"),
         ({}, "bad fleet spec: 'type'"),
-        ({"type": "power", "window": "x"}, "bad fleet spec: invalid literal"),
+        ({"type": "power", "window": "x"}, "bad fleet spec: expected int, got 'x'"),
         # A string is not spread into its characters: "alice" is no allow-list.
         ({"type": "general", "allow": "alice"}, "bad fleet spec: expected a list of names, got 'alice'"),
         ({"type": "general", "allow": [1]}, r"bad fleet spec: expected a list of names, got \[1\]"),
         # JSON true, a float and a numeric string are no integers, as in the config files.
-        ({"type": "power", "window": True}, "bad fleet spec: invalid literal for an integer: True"),
-        ({"type": "general", "freshness_window": 2.9}, "bad fleet spec: invalid literal for an integer: 2.9"),
-        ({"type": "general", "memory_size": "60"}, "bad fleet spec: invalid literal for an integer: '60'"),
+        ({"type": "power", "window": True}, "bad fleet spec: expected int, got True"),
+        ({"type": "general", "freshness_window": 2.9}, "bad fleet spec: expected int, got 2.9"),
+        ({"type": "general", "memory_size": "60"}, "bad fleet spec: expected int, got '60'"),
     ],
     ids=[
         "misspelt-type", "upper-case-type", "no-type", "non-integer-window", "allow-string", "allow-not-names",
@@ -84,7 +84,7 @@ def test_services_that_are_not_a_list_of_names_are_a_script_error():
 @pytest.mark.parametrize("value", [True, 2.9, "60"], ids=["true", "float", "string"])
 def test_fleet_policy_that_is_no_integer_is_a_script_error(value):
     fleet = {**fleet_with(type="general"), "clock_skew": value}
-    with pytest.raises(ScriptError, match=f"bad fleet spec: invalid literal for an integer: {value!r}"):
+    with pytest.raises(ScriptError, match=f"bad fleet spec: expected int, got {value!r}"):
         FleetSpec.from_dict(fleet)
 
 

@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+from kesic import crypto
 from kesic.harness.scenario import World
 from kesic.provision import ClientSpec, DeviceSpec, FleetSpec
 from kesic.wire import CMD_LED_OFF, CMD_LED_ON
@@ -152,3 +153,31 @@ def test_calls_per_op_are_flat_in_fleet_size_and_history(plan, n, block):
         for after, count in zip((n, 10 * n), calls_per_op(plan, devices, n, block))
     }
     assert len(set(counts.values())) == 1, f"calls per op by (devices, ops before the block): {counts}"
+
+
+def test_the_server_keeps_one_report_per_device_however_many_wake_cycles(monkeypatch):
+    """500 wake cycles leave pow0's record holding only the last accepted
+    attestation report: the IoT server's state does not grow with them."""
+    accepted = []
+    digest = crypto.attest_digest
+
+    def recorded(*args):
+        report = digest(*args)
+        accepted.append(report.hex)
+        return report
+
+    monkeypatch.setattr(crypto, "attest_digest", recorded)
+    world = build(20)
+    ops = wake_and_attest(world)
+    for _ in range(500):
+        next(ops)()
+    rec = world.isv.registry.by_name["pow0"]
+    reports = set(accepted)
+    held = [
+        item
+        for value in vars(rec).values()
+        for item in (value if isinstance(value, (set, frozenset, list, tuple, dict)) else (value,))
+        if isinstance(item, str) and item in reports
+    ]
+    assert len(reports) == 500
+    assert held == [accepted[-1]], f"pow0 holds {len(held)} of {len(reports)} accepted reports"
