@@ -14,7 +14,6 @@ import socket
 import socketserver
 import sys
 import threading
-import time
 
 from .clock import SystemClock
 from .device import DEVICE_CLASSES, DeviceProfile
@@ -29,8 +28,6 @@ logger = logging.getLogger(__name__)
 # A kept-alive ticket API connection that carries no request for this long
 # is closed; so is one whose request stalls for this long.
 HTTP_IDLE_TIMEOUT_S = 10.0
-# How often a UDP pump runs its tick, such as the stale attestation sweep.
-TICK_S = 0.25
 
 
 def _bind_udp(port: int) -> socket.socket:
@@ -119,23 +116,20 @@ class _TicketHttpServer(socketserver.ThreadingTCPServer):
 def _udp_pump(sock: socket.socket, handler, tick=None) -> None:
     """recvfrom loop feeding a (data, src, send) handler.
 
-    The loop doubles as a ticker: ``tick`` runs whenever TICK_S has passed
-    since its last run, whether or not datagrams arrive (used for
-    attestation-deadline expiry).
+    With a short socket timeout the loop doubles as a ticker, invoking
+    ``tick`` periodically (used for attestation-deadline expiry).
     """
 
     def send(addr, payload: bytes) -> None:
         sock.sendto(payload, addr)
 
-    sock.settimeout(TICK_S)
-    last_tick = time.monotonic()
+    sock.settimeout(0.25)
     while True:
-        if tick is not None and time.monotonic() - last_tick >= TICK_S:
-            last_tick = time.monotonic()
-            tick()
         try:
             data, src = sock.recvfrom(_RECV_SIZE)
         except socket.timeout:
+            if tick is not None:
+                tick()
             continue
         except OSError:
             return

@@ -6,7 +6,6 @@ import shutil
 import socket
 import struct
 import threading
-import time
 
 import pytest
 
@@ -168,35 +167,6 @@ def test_udp_pump_keeps_serving_after_a_handler_fails(caplog):
         client.close()
         pump.join(timeout=5)
     assert not pump.is_alive()
-
-
-def test_udp_pump_ticks_while_datagrams_keep_arriving():
-    """A port that never idles for TICK_S still runs its stale-round sweep."""
-    server = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    server.bind(("127.0.0.1", 0))
-    client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    ticks = []
-
-    def sender():
-        for _ in range(20):  # one datagram every 50 ms for about 1 s
-            client.sendto(b"sync", server.getsockname())
-            time.sleep(0.05)
-
-    pump = threading.Thread(
-        target=daemon._udp_pump, args=(server, lambda data, src, send: None), kwargs={"tick": lambda: ticks.append(1)}
-    )
-    traffic = threading.Thread(target=sender)
-    pump.start()
-    traffic.start()
-    try:
-        traffic.join(timeout=5)
-        ticked_under_traffic = len(ticks)
-    finally:
-        server.close()
-        client.close()
-        pump.join(timeout=5)
-    assert not pump.is_alive()
-    assert ticked_under_traffic >= 2
 
 
 def test_a_client_hanging_up_before_its_reply_leaves_no_traceback(ticket_server, monkeypatch, capfd, caplog):
