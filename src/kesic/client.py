@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import crypto, kdc, wire
 from .clock import Clock, SystemClock
-from .crypto import KeyRole, SymmetricKey
+from .crypto import SymmetricKey
 from .device import GENERAL, NOT_SYNCED_TOKEN, POWER, VERDICT_TOKENS
 from .errors import (
     AuthFailure,
@@ -247,7 +247,7 @@ class ClientSession:
         now = self.clock.now()
         entry = self.cache.services.get(DEFAULT_ISV_ID)
         if entry is not None and entry["expires"] > now:
-            return entry["st"], SymmetricKey(base64.b64decode(entry["k"]), KeyRole.SESSION)
+            return entry["st"], SymmetricKey(base64.b64decode(entry["k"]))
         if entry is not None:
             del self.cache.services[DEFAULT_ISV_ID]
 
@@ -256,7 +256,7 @@ class ClientSession:
             raise AuthFailure("no ticket-granting ticket cached; login first")
         if tgt["lf2"] <= now:
             raise TicketExpired("ticket-granting ticket expired; login again")
-        k_c_tgs = SymmetricKey(base64.b64decode(tgt["k"]), KeyRole.SESSION)
+        k_c_tgs = SymmetricKey(base64.b64decode(tgt["k"]))
         authn = kdc.make_authenticator(
             k_c_tgs, self.config.name, self.config.ad_c, self.clock.now_us(), self.rng
         )
@@ -268,7 +268,7 @@ class ClientSession:
             raise AuthFailure("service ticket names an unexpected service")
         entry = {"st": payload["st"], "k": payload["k"], "expires": payload["lf4"]}
         self.cache.services[DEFAULT_ISV_ID] = entry
-        return entry["st"], SymmetricKey(base64.b64decode(entry["k"]), KeyRole.SESSION)
+        return entry["st"], SymmetricKey(base64.b64decode(entry["k"]))
 
     # -- Ticket API -------------------------------------------------------
 
@@ -363,13 +363,15 @@ class ClientSession:
             data = self.network.udp_call(addr, frame.encode(), timeout=UDP_TIMEOUT_S)
 
         outcome = self._parse_reply(data)
-        if entry["dtype"] == GENERAL and outcome.verdict == "ticket-expired":
+        # A general ticket the device refused as expired or forged is dropped,
+        # so the next call fetches a fresh one rather than retrying it.
+        if entry["dtype"] == GENERAL and outcome.verdict in ("ticket-expired", "auth-failure"):
             self.cache.devices.pop(device_name, None)
             self.cache.save()
         return outcome
 
     def _call_general(self, addr: object, entry: dict, cmd: str) -> bytes:
-        key = SymmetricKey(bytes.fromhex(entry["session_key"]), KeyRole.SESSION)
+        key = SymmetricKey(bytes.fromhex(entry["session_key"]))
         last: Optional[Timeout] = None
         for _ in range(UDP_RETRIES):
             # Microsecond timestamp: unique per request, so the device can
@@ -382,7 +384,7 @@ class ClientSession:
                 lifetime=entry["nonce"],
                 ticket=entry["ticket"],
                 ts=ts,
-                authenticator=crypto.service_authenticator_g(key, ts).hex,
+                authenticator=crypto.service_authenticator_g(key, ts),
             )
             try:
                 return self.network.udp_call(addr, frame.encode(), timeout=UDP_TIMEOUT_S)
@@ -419,7 +421,7 @@ class ClientSession:
         outcome = self.call_device(device_name, wire.CMD_ATTEST)
         if not outcome.accepted:
             raise DeviceRejected(outcome.verdict, "device refused attestation request")
-        key = SymmetricKey(bytes.fromhex(entry["session_key"]), KeyRole.SESSION)
+        key = SymmetricKey(bytes.fromhex(entry["session_key"]))
         expected = crypto.attest_memory(key, bytes(expected_image))
         reported = outcome.payload.decode("ascii", errors="replace")
-        return "healthy" if reported == expected.hex else "compromised"
+        return "healthy" if reported == expected else "compromised"

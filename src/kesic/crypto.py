@@ -2,11 +2,12 @@
 
 HMAC-SHA-256 (stdlib) is the single MAC/KDF workhorse: sync-phase
 authenticators, IoT tickets, IoT session keys and attestation keys are all
-HMACs over canonical fixed-width field renderings, keyed by role-separated
-long-term keys. Confidential Kerberos payloads travel in AES-256-GCM sealed
-boxes with per-message random nonces; opening fails closed. Password keys
-come from scrypt with fixed public parameters, salted by the canonical
-client id.
+HMACs over canonical fixed-width field renderings, keyed by a device's
+independently drawn long-term keys, one per purpose; tags come back as the
+hex text the wire carries. Confidential Kerberos payloads travel as
+AES-256-GCM sealed JSON with per-message random nonces; opening fails
+closed. Password keys come from scrypt with fixed public parameters,
+salted by the canonical client id.
 
 Derivation inputs reuse the exact renderings defined in ``wire`` so the
 bytes MAC'd equal the bytes on the wire.
@@ -14,13 +15,11 @@ bytes MAC'd equal the bytes on the wire.
 
 from __future__ import annotations
 
-import enum
 import functools
 import hashlib
 import hmac as _hmac
 import json
 from base64 import b64decode, b64encode
-from dataclasses import dataclass
 from typing import Any
 
 from cryptography.exceptions import InvalidTag
@@ -38,17 +37,11 @@ from .rng import Rng
 
 __all__ = [
     "KEY_LEN",
-    "TAG_LEN",
     "NONCE_LEN",
-    "KeyRole",
     "SymmetricKey",
-    "HmacTag",
-    "SealedBox",
     "hmac_sha256",
     "hmac_tag",
     "verify_tag",
-    "seal",
-    "open_box",
     "seal_json",
     "open_json",
     "derive_password_key",
@@ -66,7 +59,6 @@ __all__ = [
 ]
 
 KEY_LEN = 32
-TAG_LEN = 32  # full HMAC-SHA-256 output; no truncation
 NONCE_LEN = 12
 
 # Fixed public scrypt parameters for password-derived keys.
@@ -75,25 +67,15 @@ SCRYPT_R = 8
 SCRYPT_P = 1
 
 
-class KeyRole(enum.Enum):
-    PASSWORD = "password-derived"
-    LT_SYNC = "lt-sync"
-    LT_TICKET = "lt-ticket"
-    LT_SESSKEY = "lt-sesskey"
-    SESSION = "session"
-    ATTESTATION = "attestation"
-
-
 class SymmetricKey:
-    """A 256-bit key with a role label; repr never shows key bytes."""
+    """A 256-bit key; repr never shows key bytes."""
 
-    __slots__ = ("_raw", "role", "_aead")
+    __slots__ = ("_raw", "_aead")
 
-    def __init__(self, raw: bytes, role: KeyRole) -> None:
+    def __init__(self, raw: bytes) -> None:
         if not isinstance(raw, (bytes, bytearray)) or len(raw) != KEY_LEN:
             raise ValueError(f"key must be {KEY_LEN} bytes")
         self._raw = bytes(raw)
-        self.role = role
         self._aead: AESGCM | None = None
 
     def raw(self) -> bytes:
@@ -109,34 +91,19 @@ class SymmetricKey:
         return self._raw.hex()
 
     @classmethod
-    def generate(cls, rng: Rng, role: KeyRole) -> "SymmetricKey":
-        return cls(rng.key_bytes(), role)
+    def generate(cls, rng: Rng) -> "SymmetricKey":
+        return cls(rng.key_bytes())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymmetricKey):
             return NotImplemented
-        return self.role is other.role and _hmac.compare_digest(self._raw, other._raw)
+        return _hmac.compare_digest(self._raw, other._raw)
 
     def __hash__(self) -> int:
-        return hash((self.role, self._raw))
+        return hash(self._raw)
 
     def __repr__(self) -> str:
-        return f"SymmetricKey(role={self.role.value})"
-
-
-@dataclass(frozen=True)
-class HmacTag:
-    """A full-width tag, carried on the wire as 64 lowercase hex chars."""
-
-    hex: str
-
-    def __post_init__(self) -> None:
-        if len(self.hex) != 2 * TAG_LEN or self.hex.strip("0123456789abcdef"):
-            raise ValueError("tag must be 64 lowercase hex chars")
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "HmacTag":
-        return cls(raw.hex())
+        return "SymmetricKey(<redacted>)"
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
@@ -144,56 +111,35 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
     return _hmac.digest(key, message, "sha256")
 
 
-def hmac_tag(key: SymmetricKey, message: bytes) -> HmacTag:
-    return HmacTag.from_bytes(hmac_sha256(key.raw(), message))
+def hmac_tag(key: SymmetricKey, message: bytes) -> str:
+    """The full-width tag as the 64 lowercase hex chars that go on the wire."""
+    return hmac_sha256(key.raw(), message).hex()
 
 
 def verify_tag(key: SymmetricKey, message: bytes, tag_hex: str) -> bool:
-    expected = hmac_tag(key, message)
-    return _hmac.compare_digest(expected.hex, tag_hex)
+    return _hmac.compare_digest(hmac_tag(key, message), tag_hex)
 
 
-# --- sealed boxes --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SealedBox:
-    nonce: bytes
-    ct: bytes  # ciphertext with the 16-byte GCM tag appended
-
-    def to_b64(self) -> str:
-        return b64encode(self.nonce + self.ct).decode("ascii")
-
-    @classmethod
-    def from_b64(cls, text: str) -> "SealedBox":
-        try:
-            raw = b64decode(text.encode("ascii"), validate=True)
-        except Exception as exc:
-            raise AuthFailure(f"sealed box is not base64: {exc}") from exc
-        if len(raw) < NONCE_LEN + 16:
-            raise AuthFailure("sealed box too short")
-        return cls(raw[:NONCE_LEN], raw[NONCE_LEN:])
-
-
-def seal(key: SymmetricKey, plaintext: bytes, rng: Rng) -> SealedBox:
-    nonce = rng.bytes(NONCE_LEN)
-    ct = key.aead().encrypt(nonce, plaintext, None)
-    return SealedBox(nonce, ct)
-
-
-def open_box(key: SymmetricKey, box: SealedBox) -> bytes:
-    try:
-        return key.aead().decrypt(box.nonce, box.ct, None)
-    except InvalidTag as exc:
-        raise AuthFailure("sealed box failed to open") from exc
-
+# --- sealed JSON ---------------------------------------------------------------
 
 def seal_json(key: SymmetricKey, obj: Any, rng: Rng) -> str:
+    """base64(nonce || ciphertext || 16-byte GCM tag) of the compact JSON."""
     plaintext = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return seal(key, plaintext, rng).to_b64()
+    nonce = rng.bytes(NONCE_LEN)
+    return b64encode(nonce + key.aead().encrypt(nonce, plaintext, None)).decode("ascii")
 
 
 def open_json(key: SymmetricKey, blob_b64: str) -> Any:
-    plaintext = open_box(key, SealedBox.from_b64(blob_b64))
+    try:
+        raw = b64decode(blob_b64.encode("ascii"), validate=True)
+    except Exception as exc:
+        raise AuthFailure(f"sealed box is not base64: {exc}") from exc
+    if len(raw) < NONCE_LEN + 16:
+        raise AuthFailure("sealed box too short")
+    try:
+        plaintext = key.aead().decrypt(raw[:NONCE_LEN], raw[NONCE_LEN:], None)
+    except InvalidTag as exc:
+        raise AuthFailure("sealed box failed to open") from exc
     try:
         return json.loads(plaintext)
     except ValueError as exc:
@@ -215,7 +161,7 @@ def derive_password_key(password: str, salt: bytes) -> SymmetricKey:
     # loads stored keys and never calls this.
     if password == "":
         raise EmptyPassword("password must be non-empty")
-    return SymmetricKey(_scrypt(password.encode("utf-8"), salt), KeyRole.PASSWORD)
+    return SymmetricKey(_scrypt(password.encode("utf-8"), salt))
 
 
 # --- canonical derivation inputs ------------------------------------------------
@@ -231,7 +177,7 @@ def _concat(*parts: tuple[wire.FieldKind, int, Any]) -> bytes:
     return "".join(_rendered(k, w, v) for (k, w, v) in parts).encode("ascii")
 
 
-def sync_request_mac(kl_sync: SymmetricKey, id_dev: int, co_sync: int) -> HmacTag:
+def sync_request_mac(kl_sync: SymmetricKey, id_dev: int, co_sync: int) -> str:
     """Device-side sync authenticator over ID_dev || Co_sync."""
     msg = _concat(
         (wire.FieldKind.NUMERIC_ID, wire.ID_WIDTH, id_dev),
@@ -242,7 +188,7 @@ def sync_request_mac(kl_sync: SymmetricKey, id_dev: int, co_sync: int) -> HmacTa
 
 def sync_response_mac(
     kl_sync: SymmetricKey, id_isv: int, co_sync: int, sync_val: int
-) -> HmacTag:
+) -> str:
     """ISV-side sync authenticator over ID_ISV || Co_sync || TS."""
     msg = _concat(
         (wire.FieldKind.NUMERIC_ID, wire.ID_WIDTH, id_isv),
@@ -252,7 +198,7 @@ def sync_response_mac(
     return hmac_tag(kl_sync, msg)
 
 
-def attest_request_mac(kl_sync: SymmetricKey, id_isv: int, challenge: str) -> HmacTag:
+def attest_request_mac(kl_sync: SymmetricKey, id_isv: int, challenge: str) -> str:
     """Attestation challenge authenticator over ID_ISV || challenge."""
     msg = _concat(
         (wire.FieldKind.NUMERIC_ID, wire.ID_WIDTH, id_isv),
@@ -261,7 +207,7 @@ def attest_request_mac(kl_sync: SymmetricKey, id_isv: int, challenge: str) -> Hm
     return hmac_tag(kl_sync, msg)
 
 
-def service_authenticator_g(session_key: SymmetricKey, ts: int) -> HmacTag:
+def service_authenticator_g(session_key: SymmetricKey, ts: int) -> str:
     """Per-request client authenticator over the rendered timestamp."""
     msg = _concat((wire.FieldKind.TIMESTAMP, wire.TS_WIDTH, ts))
     return hmac_tag(session_key, msg)
@@ -287,7 +233,7 @@ def _ticket_input_pc(id_c: int, ad_c: int, co_pc: int, id_dev: int) -> bytes:
 
 def make_iot_ticket_g(
     kl_tkt: SymmetricKey, id_c: int, ad_c: int, lifetime: int, id_dev: int
-) -> HmacTag:
+) -> str:
     """Multi-use ticket over ID_C || AD_c || LF || ID_dev, keyed lt-ticket."""
     return hmac_tag(kl_tkt, _ticket_input_g(id_c, ad_c, lifetime, id_dev))
 
@@ -297,12 +243,12 @@ def make_session_key_g(
 ) -> SymmetricKey:
     """Session key over the same tuple as the ticket, keyed lt-sesskey."""
     raw = hmac_sha256(kl_key.raw(), _ticket_input_g(id_c, ad_c, lifetime, id_dev))
-    return SymmetricKey(raw, KeyRole.SESSION)
+    return SymmetricKey(raw)
 
 
 def make_iot_ticket_pc(
     kl_tkt: SymmetricKey, id_c: int, ad_c: int, co_pc: int, id_dev: int
-) -> HmacTag:
+) -> str:
     """Single-use ticket over ID_C || AD_c || Co_pc || ID_dev, keyed lt-ticket."""
     return hmac_tag(kl_tkt, _ticket_input_pc(id_c, ad_c, co_pc, id_dev))
 
@@ -311,7 +257,7 @@ def make_session_key_pc(
     kl_key: SymmetricKey, id_c: int, ad_c: int, co_pc: int, id_dev: int
 ) -> SymmetricKey:
     raw = hmac_sha256(kl_key.raw(), _ticket_input_pc(id_c, ad_c, co_pc, id_dev))
-    return SymmetricKey(raw, KeyRole.SESSION)
+    return SymmetricKey(raw)
 
 
 # --- attestation ----------------------------------------------------------------
@@ -319,17 +265,17 @@ def make_session_key_pc(
 def derive_attestation_key(kl_key: SymmetricKey, challenge: str) -> SymmetricKey:
     """One-shot attestation key from the canonical challenge rendering."""
     msg = _concat((wire.FieldKind.CHALLENGE, wire.CHALLENGE_WIDTH, challenge))
-    return SymmetricKey(hmac_sha256(kl_key.raw(), msg), KeyRole.ATTESTATION)
+    return SymmetricKey(hmac_sha256(kl_key.raw(), msg))
 
 
-def attest_digest(att_key: SymmetricKey, memory_hash: bytes) -> HmacTag:
+def attest_digest(att_key: SymmetricKey, memory_hash: bytes) -> str:
     """Report over an already-computed SHA-256 of the program image."""
     if len(memory_hash) != hashlib.sha256().digest_size:
         raise ValueError("memory_hash must be a SHA-256 digest")
     return hmac_tag(att_key, memory_hash)
 
 
-def attest_memory(att_key: SymmetricKey, memory: bytes) -> HmacTag:
+def attest_memory(att_key: SymmetricKey, memory: bytes) -> str:
     """Hash-then-MAC report over the entire program image."""
     if len(memory) == 0:
         raise EmptyMemory("cannot attest an empty memory image")

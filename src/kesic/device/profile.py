@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto import KeyRole, SymmetricKey
+from ..crypto import SymmetricKey
 from ..kdc import ConfigReader
 
 GENERAL = "general"
@@ -51,9 +51,9 @@ class DeviceProfile:
             id_dev=read.integer("id_dev"),
             dtype=read.field("type", device_type),
             id_isv=read.integer("id_isv"),
-            kl_sync=read.key("kl_sync", KeyRole.LT_SYNC),
-            kl_tkt=read.key("kl_tkt", KeyRole.LT_TICKET),
-            kl_key=read.key("kl_key", KeyRole.LT_SESSKEY),
+            kl_sync=read.key("kl_sync"),
+            kl_tkt=read.key("kl_tkt"),
+            kl_key=read.key("kl_key"),
             memory=memory,
             isv_sync_addr=isv_sync_addr,
             isv_attest_addr=isv_attest_addr,

@@ -17,7 +17,7 @@ import os
 
 from .. import crypto, wire
 from ..clock import Clock
-from ..crypto import KeyRole, SymmetricKey
+from ..crypto import SymmetricKey
 from ..durable import atomic_write
 from ..errors import CorruptState, FieldFormatError, NotSynced, ReplayDetected
 from ..kdc import ReplayCache, typed
@@ -84,7 +84,7 @@ class RotBase:
             self._persist_co_sync()
             self._pending_co_sync = self._co_sync
         mac = crypto.sync_request_mac(self._kl_sync, self._id_dev, self._pending_co_sync)
-        return wire.SyncRequest(id_dev=self._id_dev, co_sync=self._pending_co_sync, mac=mac.hex)
+        return wire.SyncRequest(id_dev=self._id_dev, co_sync=self._pending_co_sync, mac=mac)
 
     def accept_sync_response(self, frame: wire.SyncResponse) -> bool:
         """Verify a sync response against the in-flight counter; False = drop.
@@ -172,8 +172,8 @@ class GeneralRot(RotBase):
         except ReplayDetected:
             return Verdict.INVALID_REQUEST, None
         if frame.cmd == wire.CMD_ATTEST:
-            report = crypto.attest_memory(SymmetricKey(session_key, KeyRole.SESSION), memory)
-            return Verdict.ACCEPT, report.hex.encode("ascii")
+            report = crypto.attest_memory(SymmetricKey(session_key), memory)
+            return Verdict.ACCEPT, report.encode("ascii")
         return Verdict.ACCEPT, None
 
 
@@ -207,7 +207,7 @@ class PowerRot(RotBase):
             return None
         att_key = crypto.derive_attestation_key(self._kl_key, frame.challenge)
         report = crypto.attest_memory(att_key, memory)
-        return wire.AttestResponse(id_dev=self._id_dev, attst_hmac=report.hex)
+        return wire.AttestResponse(id_dev=self._id_dev, attst_hmac=report)
 
     def handle_service(
         self, frame: wire.ServiceRequestPC, memory: bytes

@@ -24,8 +24,6 @@ __all__ = [
     "NotAuthorized",
     "ReplayDetected",
     "UnknownDevice",
-    "CounterOutOfRange",
-    "AttestationMismatch",
     "DeviceAsleep",
     "DeviceUnhealthy",
     "KerberosAuthFailure",
@@ -111,14 +109,6 @@ class UnknownDevice(KesicError):
     pass
 
 
-class CounterOutOfRange(KesicError):
-    pass
-
-
-class AttestationMismatch(KesicError):
-    """A device produced a report that matches neither the reference image nor any past report."""
-
-
 class DeviceAsleep(KesicError):
     pass
 
@@ -184,8 +174,6 @@ _NAMED = {
         NotAuthorized,
         ReplayDetected,
         UnknownDevice,
-        CounterOutOfRange,
-        AttestationMismatch,
         DeviceAsleep,
         DeviceUnhealthy,
         KerberosAuthFailure,

@@ -174,6 +174,9 @@ class LiveTopology:
                 raise StartupTimeout(f"ticket API health check returned {resp.status}")
 
     def stop(self) -> None:
+        for session in self._sessions.values():
+            session.network.close()
+        self._sessions.clear()
         for proc in self.procs:
             if proc.poll() is None:
                 proc.terminate()
@@ -183,6 +186,8 @@ class LiveTopology:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
         self.procs.clear()
         if self._tmp is not None:
             self._tmp.cleanup()

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from . import crypto, wire
 from .clock import Clock, SystemClock
-from .crypto import KeyRole, SymmetricKey
+from .crypto import SymmetricKey
 from .durable import atomic_write
 from .errors import (
     CorruptState,
@@ -239,7 +239,7 @@ class SyncManager:
             sync_val = self.clock.now()
             mac = crypto.sync_response_mac(rec.kl_sync, self.id_isv, frame.co_sync, sync_val)
             resp = wire.SyncResponse(
-                id_isv=self.id_isv, co_sync=frame.co_sync, sync_val=sync_val, mac=mac.hex
+                id_isv=self.id_isv, co_sync=frame.co_sync, sync_val=sync_val, mac=mac
             )
             self.events.emit("sync-accept", device=rec.name, co_sync=frame.co_sync)
             send(src, resp.encode())
@@ -256,7 +256,7 @@ class SyncManager:
                 )
             mac = crypto.attest_request_mac(rec.kl_sync, self.id_isv, challenge)
             self.events.emit("attest-challenge", device=rec.name)
-            send(src, wire.AttestRequest(id_isv=self.id_isv, challenge=challenge, mac=mac.hex).encode())
+            send(src, wire.AttestRequest(id_isv=self.id_isv, challenge=challenge, mac=mac).encode())
 
     # --- attestation report port -------------------------------------------------
 
@@ -279,7 +279,7 @@ class SyncManager:
             self.events.emit("attest-reject", device=rec.name, error="Timeout")
             return
         att_key = crypto.derive_attestation_key(rec.kl_key, pend.challenge)
-        expected = crypto.attest_digest(att_key, rec.ref_memory_hash).hex
+        expected = crypto.attest_digest(att_key, rec.ref_memory_hash)
         with rec.lock:
             if not hmac.compare_digest(expected, frame.attst_hmac):
                 if frame.attst_hmac == rec.last_report:
@@ -303,7 +303,7 @@ class SyncManager:
         self.events.emit("attest-accept", device=rec.name, co_pc=sync_val)
         send(
             pend.reply_to,
-            wire.SyncResponse(id_isv=self.id_isv, co_sync=co_sync, sync_val=sync_val, mac=mac.hex).encode(),
+            wire.SyncResponse(id_isv=self.id_isv, co_sync=co_sync, sync_val=sync_val, mac=mac).encode(),
         )
 
     def expire_pending(self) -> None:
@@ -417,7 +417,7 @@ class TicketManager:
             device_id=rec.id_dev,
             nonce=nonce,
             session_key=session_key.hex(),
-            ticket=ticket.hex,
+            ticket=ticket,
             timestamp=now,
         )
         self.events.emit("ticket-issued", device=rec.name, client=req.user_name, nonce=nonce)
@@ -447,7 +447,7 @@ class IsvConfig:
         cfg = cls(
             kerberos_id=read.text("kerberos_id"),
             id_isv=read.integer("id_isv"),
-            service_key=read.key("service_key", KeyRole.PASSWORD),
+            service_key=read.key("service_key"),
             users={
                 name: (user.integer("id_c"), user.integer("ad_c"))
                 for name, user in read.entries("users", "user").items()
@@ -461,9 +461,9 @@ class IsvConfig:
                 name=name,
                 id_dev=dev.integer("id_dev"),
                 dtype=dev.field("type", device_type),
-                kl_sync=dev.key("kl_sync", KeyRole.LT_SYNC),
-                kl_tkt=dev.key("kl_tkt", KeyRole.LT_TICKET),
-                kl_key=dev.key("kl_key", KeyRole.LT_SESSKEY),
+                kl_sync=dev.key("kl_sync"),
+                kl_tkt=dev.key("kl_tkt"),
+                kl_key=dev.key("kl_key"),
                 allow=dev.names("allow"),
                 ref_memory_hash=dev.field("memory_sha256", _sha256_hex),
             )

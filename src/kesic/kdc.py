@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .clock import Clock, SystemClock
-from .crypto import KeyRole, SymmetricKey, open_json, seal_json
+from .crypto import SymmetricKey, open_json, seal_json
 from .errors import (
     AuthFailure,
     FieldFormatError,
@@ -60,12 +60,12 @@ def key_b64(key: SymmetricKey) -> str:
     return b64encode(key.raw()).decode("ascii")
 
 
-def key_from_b64(text: str, role: KeyRole) -> SymmetricKey:
+def key_from_b64(text: str) -> SymmetricKey:
     try:
         raw = b64decode(text.encode("ascii"), validate=True)
     except Exception as exc:
         raise AuthFailure(f"bad key encoding: {exc}") from exc
-    return SymmetricKey(raw, role)
+    return SymmetricKey(raw)
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,13 @@ class PrincipalDb:
         services = read.field("services", lambda value: ConfigReader("KDC services", value))
         db = cls(
             tgs_id=read.text("tgs_id"),
-            tgs_key=read.key("tgs_key", KeyRole.PASSWORD),
-            services={name: services.key(name, KeyRole.PASSWORD) for name in services.obj},
+            tgs_key=read.key("tgs_key"),
+            services={name: services.key(name) for name in services.obj},
         )
         for name, client in read.entries("clients", "client").items():
             db.clients[name] = ClientPrincipal(
                 name=name,
-                key=client.key("key", KeyRole.PASSWORD),
+                key=client.key("key"),
                 ad_c=client.integer("ad_c"),
                 services=client.names("services"),
             )
@@ -131,8 +131,8 @@ class ConfigReader:
     def text(self, name: str) -> str:
         return self.field(name, lambda value: typed(value, str))
 
-    def key(self, name: str, role: KeyRole) -> SymmetricKey:
-        return self.field(name, lambda value: key_from_b64(typed(value, str), role))
+    def key(self, name: str) -> SymmetricKey:
+        return self.field(name, lambda value: key_from_b64(typed(value, str)))
 
     def names(self, name: str) -> frozenset[str]:
         return self.field(name, lambda value: frozenset(typed(v, str) for v in typed(value, list)))
@@ -220,7 +220,7 @@ def verify_ap(
         raise IdMismatch("ticket addressed to a different service")
     if not isinstance(ticket.get("lf"), int) or ticket["lf"] <= clock.now():
         raise TicketExpired("ticket lifetime elapsed")
-    session_key = key_from_b64(ticket["k"], KeyRole.SESSION)
+    session_key = key_from_b64(ticket["k"])
     authn = open_json(session_key, authn_b64)
     if authn.get("id_c") != ticket.get("id_c") or authn.get("ad_c") != ticket.get("ad_c"):
         raise IdMismatch("authenticator identity differs from ticket")
@@ -276,7 +276,7 @@ class Kdc:
         """A fresh session key sealed under ``key`` into a ticket for ``id_v``;
         returns the ticket's plaintext and its sealed form."""
         now = self.clock.now()
-        k = key_b64(SymmetricKey.generate(self.rng, KeyRole.SESSION))
+        k = key_b64(SymmetricKey.generate(self.rng))
         ticket = {"k": k, "id_c": id_c, "ad_c": ad_c, "id_v": id_v, "ts": now, "lf": now + lifetime}
         return ticket, seal_json(key, ticket, self.rng)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .client import DEFAULT_ISV_ID
-from .crypto import KeyRole, SymmetricKey, derive_password_key
+from .crypto import SymmetricKey, derive_password_key
 from .device.profile import DEVICE_TYPES
 from .errors import ScriptError
 from .kdc import DEFAULT_TGS_ID, key_b64, typed
@@ -232,8 +232,8 @@ def provision(spec: FleetSpec, rng: Rng) -> Fleet:
         raise ScriptError("client and device names must be unique")
     fleet = Fleet(
         spec=spec,
-        tgs_key=SymmetricKey.generate(rng, KeyRole.PASSWORD),
-        service_key=SymmetricKey.generate(rng, KeyRole.PASSWORD),
+        tgs_key=SymmetricKey.generate(rng),
+        service_key=SymmetricKey.generate(rng),
     )
     fleet.secrets.append(("kdc:tgs_key", fleet.tgs_key.raw()))
     fleet.secrets.append(("kdc:service_key", fleet.service_key.raw()))
@@ -252,9 +252,9 @@ def provision(spec: FleetSpec, rng: Rng) -> Fleet:
         mat = DeviceMaterial(
             spec=dspec,
             id_dev=101 + i,
-            kl_sync=SymmetricKey.generate(rng, KeyRole.LT_SYNC),
-            kl_tkt=SymmetricKey.generate(rng, KeyRole.LT_TICKET),
-            kl_key=SymmetricKey.generate(rng, KeyRole.LT_SESSKEY),
+            kl_sync=SymmetricKey.generate(rng),
+            kl_tkt=SymmetricKey.generate(rng),
+            kl_key=SymmetricKey.generate(rng),
             memory=rng.bytes(dspec.memory_size),
             allow=frozenset(dspec.allow if dspec.allow is not None else all_client_names),
         )

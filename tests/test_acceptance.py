@@ -15,7 +15,6 @@ import pytest
 
 from kesic import crypto, kdc, wire
 from kesic.clock import VirtualClock
-from kesic.crypto import KeyRole
 from kesic.device import DeviceProfile, PowerDevice
 from kesic.errors import (
     AuthFailure,
@@ -206,7 +205,7 @@ def _tamper_attest_requests(rnd, trials):
     rig.device.wake(rig.send)  # leaves the device mid-sync, ready to attest
     challenge = "5f" * 16
     mac = crypto.attest_request_mac(rig.mat.kl_sync, ID_ISV, challenge)
-    frame = wire.AttestRequest(id_isv=ID_ISV, challenge=challenge, mac=mac.hex).encode()
+    frame = wire.AttestRequest(id_isv=ID_ISV, challenge=challenge, mac=mac).encode()
     spans = [(0, 8), (8, 40), (40, 104)]  # id_isv, challenge, mac
     for i in range(trials):
         span = spans[i % len(spans)]
@@ -299,9 +298,9 @@ def test_c04_tampered_frames_rejected_and_lifetime_extension_refused():
     lifetime = START + 600
     ticket = crypto.make_iot_ticket_g(
         rig.mat.kl_tkt, rig.id_c, rig.ad_c, lifetime, rig.mat.id_dev
-    ).hex
+    )
     ts = (START + 5) * US
-    authenticator = crypto.service_authenticator_g(rig.session_key_g(lifetime), ts).hex
+    authenticator = crypto.service_authenticator_g(rig.session_key_g(lifetime), ts)
     assert rig.call(rig.g_frame(lifetime, ts, ticket=ticket, authenticator=authenticator)) == b"OK LED=ON"
     stretched = rig.g_frame(lifetime + 9000, ts + US, ticket=ticket, authenticator=authenticator)
     assert rig.call(stretched) == b"ERR AUTH_FAILURE"
@@ -360,7 +359,7 @@ class _PowerBench:
         req = wire.SyncRequest.decode(payload)
         mac = crypto.sync_response_mac(self.mat.kl_sync, ID_ISV, req.co_sync, base)
         resp = wire.SyncResponse(
-            id_isv=ID_ISV, co_sync=req.co_sync, sync_val=base, mac=mac.hex
+            id_isv=ID_ISV, co_sync=req.co_sync, sync_val=base, mac=mac
         ).encode()
         self.device.handle_datagram(resp, "isv:sync", self.send)
         assert self.device.synced
@@ -368,7 +367,7 @@ class _PowerBench:
     def frame(self, co_pc):
         ticket = crypto.make_iot_ticket_pc(
             self.mat.kl_tkt, self.id_c, self.ad_c, co_pc, self.mat.id_dev
-        ).hex
+        )
         return wire.ServiceRequestPC(
             cmd="LED_ON", id_c=self.id_c, ad_c=self.ad_c, co_pc=co_pc, ticket=ticket
         ).encode()
@@ -614,7 +613,7 @@ def test_c09_login_core_rejects_bad_password_expiry_id_mismatch_and_replay(
     )
     key = crypto.derive_password_key(ident.spec.password, b"alice")
     payload = crypto.open_json(key, resp["sealed"])
-    k_c_tgs = kdc.key_from_b64(payload["k"], KeyRole.SESSION)
+    k_c_tgs = kdc.key_from_b64(payload["k"])
     s.clock.advance(SMALL_FLEET.tgt_lifetime + 1)
     authn = kdc.make_authenticator(k_c_tgs, "alice", ident.ad_c, s.clock.now_us(), s.rng)
     with pytest.raises(TicketExpired):
@@ -626,7 +625,7 @@ def test_c09_login_core_rejects_bad_password_expiry_id_mismatch_and_replay(
         {"op": "as", "id_c": "alice", "id_tgs": "tgs", "ts": s.clock.now()}
     )
     payload = crypto.open_json(key, resp["sealed"])
-    k_c_tgs = kdc.key_from_b64(payload["k"], KeyRole.SESSION)
+    k_c_tgs = kdc.key_from_b64(payload["k"])
     bob = s.fleet.clients["bob"]
     forged = kdc.make_authenticator(k_c_tgs, "bob", bob.ad_c, s.clock.now_us(), s.rng)
     with pytest.raises(IdMismatch):

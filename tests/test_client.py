@@ -377,6 +377,17 @@ class TestDeviceCalls:
         assert "bulb" not in session.cache.devices  # device verdict evicts it
         assert session.call_device("bulb", "LED_ON").accepted  # fresh ticket
 
+    def test_general_ticket_dropped_on_auth_failure(self, world, tmp_path):
+        session = cached_session(world, "alice", tmp_path)
+        session.login(password_of(world, "alice"))
+        first = session.get_iot_ticket("bulb")
+        # One bit of a numeric id: the request decodes, its ticket does not verify.
+        world.transport.tamper_next(src=session.network.addr, dst="dev:bulb", offset=16, xor=1)
+        assert session.call_device("bulb", "LED_ON").verdict == "auth-failure"
+        assert "bulb" not in session.cache.devices
+        assert session.call_device("bulb", "LED_ON").accepted
+        assert session.cache.devices["bulb"] is not first
+
     def test_unconfigured_device_address(self, world, tmp_path):
         session = cached_session(world, "alice", tmp_path)
         session.login(password_of(world, "alice"))

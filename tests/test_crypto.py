@@ -7,6 +7,7 @@ parameter drift breaks it.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 
 import pytest
@@ -44,8 +45,8 @@ RFC4231_VECTORS = [
 SCRYPT_GOLDEN = "0a3e4b93fa9fc363422bb21e3543251f5daccafedc31a12af195800ed09d6bb4"
 
 
-def key(role=crypto.KeyRole.LT_SYNC, byte=0x11) -> crypto.SymmetricKey:
-    return crypto.SymmetricKey(bytes([byte]) * 32, role)
+def key(byte=0x11) -> crypto.SymmetricKey:
+    return crypto.SymmetricKey(bytes([byte]) * 32)
 
 
 @pytest.mark.parametrize("k,msg,digest", RFC4231_VECTORS)
@@ -63,62 +64,57 @@ def test_hmac_deterministic_and_bit_sensitive():
 
 def test_tag_hex_round_trip():
     tag = crypto.hmac_tag(key(), b"x")
-    assert len(tag.hex) == 64
+    assert len(tag) == 64
+    assert bytes.fromhex(tag) == crypto.hmac_sha256(key().raw(), b"x")
 
 
 def test_verify_tag():
     k = key()
     tag = crypto.hmac_tag(k, b"msg")
-    assert crypto.verify_tag(k, b"msg", tag.hex)
-    assert not crypto.verify_tag(k, b"msh", tag.hex)
-    assert not crypto.verify_tag(key(byte=0x12), b"msg", tag.hex)
+    assert crypto.verify_tag(k, b"msg", tag)
+    assert not crypto.verify_tag(k, b"msh", tag)
+    assert not crypto.verify_tag(key(byte=0x12), b"msg", tag)
 
 
 def test_key_repr_hides_bytes():
     k = key(byte=0x5A)
-    assert "5a" not in repr(k).lower() or "5a5a" not in repr(k).lower()
-    assert "role" in repr(k)
+    assert k.hex() not in repr(k)
 
 
-# --- sealed boxes ---------------------------------------------------------------
-
-def test_seal_open_round_trip():
-    rng = Rng(1)
-    k = key(crypto.KeyRole.SESSION)
-    box = crypto.seal(k, b"hello world", rng)
-    assert crypto.open_box(k, box) == b"hello world"
+def test_keys_compare_by_bytes():
+    assert key(byte=0x21) == key(byte=0x21)
+    assert hash(key(byte=0x21)) == hash(key(byte=0x21))
+    assert key(byte=0x21) != key(byte=0x22)
 
 
-def test_open_wrong_key_fails_closed():
-    rng = Rng(1)
-    box = crypto.seal(key(byte=1, role=crypto.KeyRole.SESSION), b"secret", rng)
-    with pytest.raises(AuthFailure):
-        crypto.open_box(key(byte=2, role=crypto.KeyRole.SESSION), box)
-
-
-def test_open_tampered_box_fails_closed():
-    rng = Rng(1)
-    k = key(crypto.KeyRole.SESSION)
-    box = crypto.seal(k, b"secret payload", rng)
-    blob = bytearray(box.nonce + box.ct)
-    for byte_index in range(2):  # nonce byte and ciphertext byte
-        for bit in range(8):
-            mutated = bytearray(blob)
-            mutated[byte_index * (crypto.NONCE_LEN + 1)] ^= 1 << bit
-            bad = crypto.SealedBox(bytes(mutated[: crypto.NONCE_LEN]), bytes(mutated[crypto.NONCE_LEN :]))
-            with pytest.raises(AuthFailure):
-                crypto.open_box(k, bad)
-
+# --- sealed JSON ----------------------------------------------------------------
 
 def test_seal_json_round_trip_and_fresh_nonces():
     rng = Rng(7)
-    k = key(crypto.KeyRole.SESSION)
+    k = key()
     obj = {"k": "00" * 32, "ts": 123}
     blob1 = crypto.seal_json(k, obj, rng)
     blob2 = crypto.seal_json(k, obj, rng)
     assert blob1 != blob2  # per-message nonce
     assert crypto.open_json(k, blob1) == obj
     assert crypto.open_json(k, blob2) == obj
+
+
+def test_open_wrong_key_fails_closed():
+    blob = crypto.seal_json(key(byte=1), {"secret": 1}, Rng(1))
+    with pytest.raises(AuthFailure):
+        crypto.open_json(key(byte=2), blob)
+
+
+def test_open_tampered_box_fails_closed():
+    k = key()
+    raw = base64.b64decode(crypto.seal_json(k, {"secret": "payload"}, Rng(1)))
+    for byte_index in (0, crypto.NONCE_LEN):  # a nonce byte and a ciphertext byte
+        for bit in range(8):
+            mutated = bytearray(raw)
+            mutated[byte_index] ^= 1 << bit
+            with pytest.raises(AuthFailure):
+                crypto.open_json(k, base64.b64encode(bytes(mutated)).decode("ascii"))
 
 
 def test_open_json_rejects_garbage():
@@ -150,21 +146,21 @@ def test_empty_password_rejected():
 # --- protocol derivations --------------------------------------------------------
 
 def test_sync_request_mac_matches_wire_prefix():
-    k = key(crypto.KeyRole.LT_SYNC)
+    k = key()
     frame = wire.SyncRequest(id_dev=101, co_sync=7, mac="0" * 64)
     tag = crypto.sync_request_mac(k, 101, 7)
     assert tag == crypto.hmac_tag(k, wire.mac_input(frame))
 
 
 def test_sync_response_mac_matches_wire_prefix():
-    k = key(crypto.KeyRole.LT_SYNC)
+    k = key()
     frame = wire.SyncResponse(id_isv=1, co_sync=7, sync_val=1_700_000_123, mac="0" * 64)
     tag = crypto.sync_response_mac(k, 1, 7, 1_700_000_123)
     assert tag == crypto.hmac_tag(k, wire.mac_input(frame))
 
 
 def test_attest_request_mac_matches_wire_prefix():
-    k = key(crypto.KeyRole.LT_SYNC)
+    k = key()
     challenge = "ab" * 16
     frame = wire.AttestRequest(id_isv=1, challenge=challenge, mac="0" * 64)
     tag = crypto.attest_request_mac(k, 1, challenge)
@@ -172,12 +168,11 @@ def test_attest_request_mac_matches_wire_prefix():
 
 
 def test_ticket_and_session_key_domains_differ():
-    kt = key(crypto.KeyRole.LT_TICKET, byte=0x21)
-    ks = key(crypto.KeyRole.LT_SESSKEY, byte=0x22)
+    kt = key(byte=0x21)
+    ks = key(byte=0x22)
     ticket = crypto.make_iot_ticket_g(kt, 1001, 2001, 1_700_003_600, 101)
     skey = crypto.make_session_key_g(ks, 1001, 2001, 1_700_003_600, 101)
-    assert ticket.hex != skey.hex()
-    assert skey.role is crypto.KeyRole.SESSION
+    assert ticket != skey.hex()
 
 
 field_tuples_g = st.tuples(
@@ -191,7 +186,7 @@ field_tuples_g = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(fields=field_tuples_g, which=st.integers(min_value=0, max_value=3), delta=st.integers(min_value=1, max_value=1000))
 def test_ticket_g_binds_every_field(fields, which, delta):
-    kt = key(crypto.KeyRole.LT_TICKET)
+    kt = key()
     bounds = (10**8, 10**8, 10**28, 10**8)
     mutated = list(fields)
     mutated[which] = (mutated[which] + delta) % bounds[which]
@@ -211,7 +206,7 @@ field_tuples_pc = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(fields=field_tuples_pc, which=st.integers(min_value=0, max_value=3), delta=st.integers(min_value=1, max_value=1000))
 def test_ticket_pc_binds_every_field(fields, which, delta):
-    kt = key(crypto.KeyRole.LT_TICKET)
+    kt = key()
     bounds = (10**8, 10**8, 10**24, 10**8)
     mutated = list(fields)
     mutated[which] = (mutated[which] + delta) % bounds[which]
@@ -221,7 +216,7 @@ def test_ticket_pc_binds_every_field(fields, which, delta):
 
 
 def test_ticket_rejects_unrenderable_fields():
-    kt = key(crypto.KeyRole.LT_TICKET)
+    kt = key()
     with pytest.raises(FieldWidthError):
         crypto.make_iot_ticket_g(kt, 10**8, 2001, 0, 101)  # id_c too wide
     with pytest.raises(FieldWidthError):
@@ -231,7 +226,7 @@ def test_ticket_rejects_unrenderable_fields():
 
 
 def test_authenticator_g_is_ts_bound():
-    sk = crypto.SymmetricKey(b"\x33" * 32, crypto.KeyRole.SESSION)
+    sk = crypto.SymmetricKey(b"\x33" * 32)
     a1 = crypto.service_authenticator_g(sk, 1_700_000_000)
     a2 = crypto.service_authenticator_g(sk, 1_700_000_001)
     assert a1 != a2
@@ -240,7 +235,7 @@ def test_authenticator_g_is_ts_bound():
 # --- attestation -----------------------------------------------------------------
 
 def test_attestation_key_is_challenge_bound():
-    kk = key(crypto.KeyRole.LT_SESSKEY)
+    kk = key()
     rng = Rng(5)
     challenges = {rng.challenge() for _ in range(10)}
     keys = {crypto.derive_attestation_key(kk, c).hex() for c in challenges}
@@ -248,7 +243,7 @@ def test_attestation_key_is_challenge_bound():
 
 
 def test_attest_memory_hash_then_mac():
-    att = crypto.SymmetricKey(b"\x44" * 32, crypto.KeyRole.ATTESTATION)
+    att = crypto.SymmetricKey(b"\x44" * 32)
     memory = bytes(range(256)) * 8
     report = crypto.attest_memory(att, memory)
     # Verifier route: HMAC over a stored SHA-256 of the reference image.
@@ -256,7 +251,7 @@ def test_attest_memory_hash_then_mac():
 
 
 def test_attest_memory_detects_single_byte_change():
-    att = crypto.SymmetricKey(b"\x44" * 32, crypto.KeyRole.ATTESTATION)
+    att = crypto.SymmetricKey(b"\x44" * 32)
     memory = bytearray(b"\x00" * 1024)
     base = crypto.attest_memory(att, bytes(memory))
     memory[512] ^= 0x01
@@ -264,7 +259,7 @@ def test_attest_memory_detects_single_byte_change():
 
 
 def test_attest_empty_memory_rejected():
-    att = crypto.SymmetricKey(b"\x44" * 32, crypto.KeyRole.ATTESTATION)
+    att = crypto.SymmetricKey(b"\x44" * 32)
     with pytest.raises(EmptyMemory):
         crypto.attest_memory(att, b"")
 

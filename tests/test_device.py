@@ -68,7 +68,7 @@ class Rig:
     def sync_response(self, co_sync: int, sync_val: int) -> bytes:
         mac = crypto.sync_response_mac(self.mat.kl_sync, ID_ISV, co_sync, sync_val)
         return wire.SyncResponse(
-            id_isv=ID_ISV, co_sync=co_sync, sync_val=sync_val, mac=mac.hex
+            id_isv=ID_ISV, co_sync=co_sync, sync_val=sync_val, mac=mac
         ).encode()
 
     def sync(self, sync_val: int = START) -> None:
@@ -87,10 +87,10 @@ class Rig:
         if ticket is None:
             ticket = crypto.make_iot_ticket_g(
                 self.mat.kl_tkt, self.id_c, self.ad_c, lifetime, self.mat.id_dev
-            ).hex
+            )
         if authenticator is None:
             key = self.session_key_g(lifetime)
-            authenticator = crypto.service_authenticator_g(key, ts).hex
+            authenticator = crypto.service_authenticator_g(key, ts)
         return wire.ServiceRequestG(
             cmd=cmd, id_c=self.id_c, ad_c=self.ad_c, lifetime=lifetime,
             ticket=ticket, ts=ts, authenticator=authenticator,
@@ -105,7 +105,7 @@ class Rig:
         if ticket is None:
             ticket = crypto.make_iot_ticket_pc(
                 self.mat.kl_tkt, self.id_c, self.ad_c, co_pc, self.mat.id_dev
-            ).hex
+            )
         return wire.ServiceRequestPC(
             cmd=cmd, id_c=self.id_c, ad_c=self.ad_c, co_pc=co_pc, ticket=ticket
         ).encode()
@@ -128,7 +128,7 @@ class TestSyncHandshake:
         assert req.id_dev == bulb.mat.id_dev
         assert req.co_sync == 1
         expected = crypto.sync_request_mac(bulb.mat.kl_sync, req.id_dev, req.co_sync)
-        assert req.mac == expected.hex
+        assert req.mac == expected
 
     def test_retransmission_reuses_inflight_counter(self, bulb):
         bulb.device.boot(bulb.send)
@@ -171,7 +171,7 @@ class TestSyncHandshake:
     def test_response_from_wrong_server_identity_rejected(self, bulb):
         bulb.device.boot(bulb.send)
         mac = crypto.sync_response_mac(bulb.mat.kl_sync, 2, 1, START)
-        frame = wire.SyncResponse(id_isv=2, co_sync=1, sync_val=START, mac=mac.hex)
+        frame = wire.SyncResponse(id_isv=2, co_sync=1, sync_val=START, mac=mac)
         bulb.deliver(frame.encode(), "isv:sync")
         assert not bulb.device.synced
 
@@ -209,7 +209,7 @@ class TestGeneralService:
         reply = bulb.call(bulb.g_frame(self.LIFETIME, self.TS, wire.CMD_ATTEST))
         key = bulb.session_key_g(self.LIFETIME)
         expected = crypto.attest_memory(key, bulb.mat.memory)
-        assert reply == b"OK " + expected.hex.encode()
+        assert reply == b"OK " + expected.encode()
 
     def test_attest_reflects_current_memory(self, bulb):
         bulb.sync()
@@ -217,9 +217,9 @@ class TestGeneralService:
         reply = bulb.call(bulb.g_frame(self.LIFETIME, self.TS, wire.CMD_ATTEST))
         key = bulb.session_key_g(self.LIFETIME)
         clean = crypto.attest_memory(key, bulb.mat.memory)
-        assert reply != b"OK " + clean.hex.encode()
+        assert reply != b"OK " + clean.encode()
         tampered = crypto.attest_memory(key, bytes(bulb.device.memory))
-        assert reply == b"OK " + tampered.hex.encode()
+        assert reply == b"OK " + tampered.encode()
 
     @pytest.mark.parametrize("skew_s", [-301, 301])
     def test_stale_or_future_timestamp_refused(self, bulb, skew_s):
@@ -270,8 +270,8 @@ class TestGeneralService:
         bulb.sync()
         ticket = crypto.make_iot_ticket_g(
             bulb.mat.kl_tkt, bulb.id_c, bulb.ad_c, self.LIFETIME, bulb.mat.id_dev
-        ).hex
-        authn = crypto.service_authenticator_g(bulb.session_key_g(self.LIFETIME), self.TS).hex
+        )
+        authn = crypto.service_authenticator_g(bulb.session_key_g(self.LIFETIME), self.TS)
         forged = bulb.g_frame(
             self.LIFETIME + 9000, self.TS, ticket=ticket, authenticator=authn
         )
@@ -305,7 +305,7 @@ class TestGeneralService:
 class TestPowerAttestation:
     def attest_request(self, sensor, challenge="ab" * 16, mac=None):
         if mac is None:
-            mac = crypto.attest_request_mac(sensor.mat.kl_sync, ID_ISV, challenge).hex
+            mac = crypto.attest_request_mac(sensor.mat.kl_sync, ID_ISV, challenge)
         return wire.AttestRequest(id_isv=ID_ISV, challenge=challenge, mac=mac).encode()
 
     def test_challenge_mid_sync_produces_report(self, sensor):
@@ -317,7 +317,7 @@ class TestPowerAttestation:
         resp = wire.AttestResponse.decode(payload)
         assert resp.id_dev == sensor.mat.id_dev
         att_key = crypto.derive_attestation_key(sensor.mat.kl_key, challenge)
-        assert resp.attst_hmac == crypto.attest_memory(att_key, sensor.mat.memory).hex
+        assert resp.attst_hmac == crypto.attest_memory(att_key, sensor.mat.memory)
 
     def test_report_covers_current_memory(self, sensor):
         sensor.device.wake(sensor.send)
@@ -326,7 +326,7 @@ class TestPowerAttestation:
         sensor.deliver(self.attest_request(sensor, challenge), "isv:attest")
         resp = wire.AttestResponse.decode(sensor.sent[-1][1])
         att_key = crypto.derive_attestation_key(sensor.mat.kl_key, challenge)
-        assert resp.attst_hmac == crypto.attest_memory(att_key, bytes(sensor.device.memory)).hex
+        assert resp.attst_hmac == crypto.attest_memory(att_key, bytes(sensor.device.memory))
 
     def test_challenge_outside_sync_ignored(self, sensor):
         sensor.sync(sync_val=5000)  # handshake done; no in-flight request
@@ -345,7 +345,7 @@ class TestPowerAttestation:
         sensor.device.wake(sensor.send)
         challenge = "3d" * 16
         mac = crypto.attest_request_mac(sensor.mat.kl_sync, 2, challenge)
-        frame = wire.AttestRequest(id_isv=2, challenge=challenge, mac=mac.hex).encode()
+        frame = wire.AttestRequest(id_isv=2, challenge=challenge, mac=mac).encode()
         n = len(sensor.sent)
         sensor.deliver(frame, "isv:attest")
         assert len(sensor.sent) == n

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import socket
+import warnings
 import weakref
 
 import pytest
@@ -503,6 +504,23 @@ class TestLiveTopology:
         path = spawned[0]["env"]["PYTHONPATH"].split(os.pathsep)
         assert os.path.isabs(path[0])
         assert path == [root, "src"]
+
+    def test_stop_closes_every_pipe_and_socket(self):
+        from kesic.provision import FleetSpec
+
+        spec = FleetSpec.from_dict({"clients": TINY_FLEET["clients"], "devices": TINY_FLEET["devices"][:1]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            topo = LiveTopology(spec, seed=1)
+            try:
+                topo.start()
+                topo.client("alice").login(TINY_FLEET["clients"][0]["password"])
+                topo.client("alice").get_iot_ticket("bulb")
+            finally:
+                topo.stop()
+            del topo
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_topology_ports_are_distinct(self):
         from kesic.provision import FleetSpec

@@ -11,7 +11,6 @@ import pytest
 
 from kesic import crypto, isv, kdc, wire
 from kesic.clock import VirtualClock
-from kesic.crypto import KeyRole
 from kesic.device import POWER
 from kesic.errors import AuthFailure, CorruptState, IdMismatch
 from kesic.isv import DeviceRecord, DeviceRegistry, Isv, IsvConfig
@@ -46,13 +45,13 @@ class Setup:
     def sync_frame(self, name: str, co: int) -> bytes:
         mat = self.mat(name)
         mac = crypto.sync_request_mac(mat.kl_sync, mat.id_dev, co)
-        return wire.SyncRequest(id_dev=mat.id_dev, co_sync=co, mac=mac.hex).encode()
+        return wire.SyncRequest(id_dev=mat.id_dev, co_sync=co, mac=mac).encode()
 
     def report_frame(self, name: str, challenge: str, memory: bytes | None = None) -> bytes:
         mat = self.mat(name)
         att_key = crypto.derive_attestation_key(mat.kl_key, challenge)
         report = crypto.attest_memory(att_key, memory if memory is not None else mat.memory)
-        return wire.AttestResponse(id_dev=mat.id_dev, attst_hmac=report.hex).encode()
+        return wire.AttestResponse(id_dev=mat.id_dev, attst_hmac=report).encode()
 
     def send(self, addr, payload: bytes) -> None:
         self.sent.append((addr, payload))
@@ -77,7 +76,7 @@ class Setup:
         )
         key = crypto.derive_password_key(password, user.encode())
         payload = crypto.open_json(key, resp["sealed"])
-        return payload["tgt"], kdc.key_from_b64(payload["k"], KeyRole.SESSION)
+        return payload["tgt"], kdc.key_from_b64(payload["k"])
 
     def tgs_request(self, ticket: str, key, user="alice") -> dict:
         authn = kdc.make_authenticator(key, user, self.fleet.clients[user].ad_c, self.clock.now_us(), self.rng)
@@ -88,7 +87,7 @@ class Setup:
         tgt, k_c_tgs = self.login(user, password)
         resp = self.kdc.tgs_exchange(self.tgs_request(tgt, k_c_tgs, user))
         out = crypto.open_json(k_c_tgs, resp["sealed"])
-        return out["st"], kdc.key_from_b64(out["k"], KeyRole.SESSION)
+        return out["st"], kdc.key_from_b64(out["k"])
 
     def token(self, ticket: str, key, user="alice") -> dict:
         """Authorization header presenting ``ticket`` with a fresh authenticator."""
@@ -117,7 +116,7 @@ def last_attest_challenge(s: Setup) -> str:
     mat = s.mat("sensor")
     assert req.id_isv == 1
     expected = crypto.attest_request_mac(mat.kl_sync, req.id_isv, req.challenge)
-    assert req.mac == expected.hex
+    assert req.mac == expected
     return req.challenge
 
 
@@ -184,7 +183,7 @@ class TestSyncCounterRule:
     def test_bad_mac_rejected_after_counter_check(self, s):
         mat = s.mat("bulb")
         mac = crypto.sync_request_mac(mat.kl_sync, mat.id_dev, 99)  # MAC over wrong counter
-        frame = wire.SyncRequest(id_dev=mat.id_dev, co_sync=1, mac=mac.hex).encode()
+        frame = wire.SyncRequest(id_dev=mat.id_dev, co_sync=1, mac=mac).encode()
         s.isv.sync.handle_sync(frame, "dev", s.send)
         assert s.events(event="sync-reject", device="bulb", error="AuthFailure")
         assert not s.sent
@@ -203,7 +202,7 @@ class TestSyncCounterRule:
         assert resp.sync_val == s.clock.now()
         mat = s.mat("bulb")
         expected = crypto.sync_response_mac(mat.kl_sync, 1, 1, resp.sync_val)
-        assert resp.mac == expected.hex
+        assert resp.mac == expected
 
 
 class TestPowerSyncAndAttestation:
@@ -493,7 +492,7 @@ class TestTicketApi:
         assert resp.device_id == mat.id_dev
         assert resp.nonce == s.clock.now() + 600
         expected = crypto.make_iot_ticket_g(mat.kl_tkt, ident.id_c, ident.ad_c, resp.nonce, mat.id_dev)
-        assert resp.ticket == expected.hex
+        assert resp.ticket == expected
         key_expected = crypto.make_session_key_g(
             mat.kl_key, ident.id_c, ident.ad_c, resp.nonce, mat.id_dev
         )

@@ -7,7 +7,7 @@ import pytest
 
 from kesic import crypto, kdc
 from kesic.clock import VirtualClock
-from kesic.crypto import KeyRole, SymmetricKey
+from kesic.crypto import SymmetricKey
 from kesic.errors import (
     AuthFailure,
     FieldFormatError,
@@ -94,7 +94,7 @@ class TestTgsExchange:
         payload = open_as(do_as(center, clock))
         import base64
 
-        k_c_tgs = SymmetricKey(base64.b64decode(payload["k"]), KeyRole.SESSION)
+        k_c_tgs = SymmetricKey(base64.b64decode(payload["k"]))
         return clock, rng, fleet, center, payload, k_c_tgs
 
     def test_happy_path_issues_service_ticket(self, setup):
@@ -167,7 +167,7 @@ class TestTgsExchange:
         payload = crypto.open_json(key, resp["sealed"])
         import base64
 
-        k_c_tgs = SymmetricKey(base64.b64decode(payload["k"]), KeyRole.SESSION)
+        k_c_tgs = SymmetricKey(base64.b64decode(payload["k"]))
         authn = kdc.make_authenticator(k_c_tgs, "mallory", 2003, clock.now_us(), rng)
         with pytest.raises(NotAuthorized):
             center.tgs_exchange({"op": "tgs", "id_v": "isv", "tgt": payload["tgt"], "authn": authn})
@@ -396,7 +396,7 @@ class TestPrincipalDb:
         _, rng, fleet, _ = setup
         obj = fleet.kdc_json()
         obj["clients"] = {
-            f"user{i}": {"key": kdc.key_b64(SymmetricKey.generate(rng, KeyRole.PASSWORD)),
+            f"user{i}": {"key": kdc.key_b64(SymmetricKey.generate(rng)),
                          "ad_c": 5000 + i, "services": ["isv"]}
             for i in range(1000)
         }
@@ -407,9 +407,7 @@ class TestPrincipalDb:
         monkeypatch.setattr(crypto, "_scrypt", no_scrypt)
         db = kdc.PrincipalDb.from_json_obj(obj)
         assert len(db.clients) == 1000
-        assert db.clients["user999"].key == kdc.key_from_b64(
-            obj["clients"]["user999"]["key"], KeyRole.PASSWORD
-        )
+        assert db.clients["user999"].key == kdc.key_from_b64(obj["clients"]["user999"]["key"])
 
     @pytest.mark.parametrize("config, path, name, value, message", KEY_CASES)
     def test_bad_client_key_is_a_named_error(self, setup, config, path, name, value, message):
@@ -448,7 +446,7 @@ class TestKdcConfigFile:
 
         payload = open_as(do_as(center, clock))
         assert payload["lf2"] == clock.now() + 7200
-        k_c_tgs = SymmetricKey(base64.b64decode(payload["k"]), KeyRole.SESSION)
+        k_c_tgs = SymmetricKey(base64.b64decode(payload["k"]))
 
         def tgs(offset_s):
             ts = clock.now_us() + offset_s * 1_000_000

@@ -163,7 +163,7 @@ def test_the_server_keeps_one_report_per_device_however_many_wake_cycles(monkeyp
 
     def recorded(*args):
         report = digest(*args)
-        accepted.append(report.hex)
+        accepted.append(report)
         return report
 
     monkeypatch.setattr(crypto, "attest_digest", recorded)
