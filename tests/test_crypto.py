@@ -89,6 +89,12 @@ def test_keys_compare_by_bytes():
 
 # --- sealed JSON ----------------------------------------------------------------
 
+def test_seal_open_round_trip():
+    k = key()
+    for obj in ("hello world", {"nested": {"ts": 1, "names": ["dev-1", "é"]}}, [], 0):
+        assert crypto.open_json(k, crypto.seal_json(k, obj, Rng(1))) == obj
+
+
 def test_seal_json_round_trip_and_fresh_nonces():
     rng = Rng(7)
     k = key()
