@@ -4,20 +4,29 @@ Each main binds real sockets around the transport-agnostic handlers and
 prints ``READY`` on stdout once it is serving, which is what the live
 harness (and shell scripts) wait for. All services are UDP
 request/response except the ticket API, which is plain HTTP.
+
+``python -m kesic.daemon launch`` is the launcher the live harness starts:
+it imports every role once and forks one daemon per argv it is given.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
+import os
+import select
+import shlex
+import signal
 import socket
 import socketserver
 import sys
 import threading
+import traceback
 
 from .clock import SystemClock
 from .device import DEVICE_CLASSES, DeviceProfile
-from .errors import KesicError
+from .errors import FieldFormatError, KesicError
 from .isv import Isv, IsvConfig
 from .kdc import Kdc
 from .net import _RECV_SIZE, parse_hostport, serve_http
@@ -28,6 +37,9 @@ logger = logging.getLogger(__name__)
 # A kept-alive ticket API connection that carries no request for this long
 # is closed; so is one whose request stalls for this long.
 HTTP_IDLE_TIMEOUT_S = 10.0
+# The ticket API serves at most this many connections at once; a connection
+# over the cap is closed unanswered.
+HTTP_MAX_CONNECTIONS = 64
 
 
 def _bind_udp(port: int) -> socket.socket:
@@ -103,6 +115,26 @@ class _TicketHttpServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     block_on_close = False  # closing must not wait out kept-alive connections
     isv: Isv
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._slots = threading.BoundedSemaphore(HTTP_MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address) -> None:
+        if not self._slots.acquire(blocking=False):
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()  # no handler thread started to release it
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
     def handle_error(self, request, client_address) -> None:
         # socketserver's default prints a traceback to stderr, which the live
@@ -253,10 +285,129 @@ def device_main(argv: list[str] | None = None) -> int:
     return 1  # the socket failed
 
 
+# --- Launcher -------------------------------------------------------------------
+
+ROLES = {"kdc": kdc_main, "isv": isv_main, "device": device_main}
+
+# How long the launcher waits for a line before it looks for exited daemons.
+_WATCH_S = 0.1
+
+
+def launch_main(argv: list[str]) -> int:
+    """Forks one daemon per argv: ``argv`` itself if it is not empty, then
+    one JSON list per stdin line, such as ``["kdc", "--db", "kdc.json"]``.
+
+    Every role is imported once, here, so a daemon starts without paying for
+    the interpreter and the package again. On stdin EOF or SIGTERM the
+    launcher stops its daemons and exits 0. A daemon that exits on its own
+    stops the others too; the launcher then names it in one stderr line and
+    exits 1. A line that is not a daemon argv is one ``error:`` line, exit 2.
+    """
+    stop_signals: list[int] = []
+    signal.signal(signal.SIGTERM, lambda signum, frame: stop_signals.append(signum))
+    # Each daemon holds the read end; the launcher alone holds the write end,
+    # so the daemons see EOF once the launcher is gone, however it died.
+    lifeline = os.pipe()
+    children: dict[int, list[str]] = {}
+    status, message = 0, ""
+    try:
+        if argv:
+            _fork_daemon(_checked_role(argv), lifeline, children)
+        pending = b""
+        while not stop_signals:
+            if select.select([0], [], [], _WATCH_S)[0]:
+                data = os.read(0, 65536)
+                if not data:
+                    break
+                *lines, pending = (pending + data).split(b"\n")
+                for line in lines:
+                    _fork_daemon(_daemon_argv(line), lifeline, children)
+            if children:
+                pid, wait_status = os.waitpid(-1, os.WNOHANG)
+                if pid:
+                    code = os.waitstatus_to_exitcode(wait_status)
+                    status = 1
+                    message = f"error: daemon {shlex.join(children.pop(pid))} (pid {pid}) exited with {code}"
+                    break
+    except FieldFormatError as exc:
+        status, message = 2, f"error: {type(exc).__name__}: {exc}"
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGTERM)
+        for pid in children:
+            os.waitpid(pid, 0)
+    if message:
+        print(message, file=sys.stderr)
+    return status
+
+
+def _checked_role(argv: list[str]) -> list[str]:
+    if argv[0] not in ROLES:
+        raise FieldFormatError(f"launcher: unknown daemon role {argv[0]!r}; choose from {sorted(ROLES)}")
+    return argv
+
+
+def _daemon_argv(line: bytes) -> list[str]:
+    try:
+        argv = json.loads(line)
+    except (ValueError, RecursionError):
+        argv = None
+    if not (isinstance(argv, list) and argv and all(isinstance(arg, str) for arg in argv)):
+        raise FieldFormatError(f"launcher: line is not a JSON list of strings: {line[:80]!r}")
+    return _checked_role(argv)
+
+
+def _fork_daemon(argv: list[str], lifeline: tuple[int, int], children: dict[int, list[str]]) -> None:
+    # A fork copies only the calling thread; the daemon must not inherit a
+    # lock another thread held, nor any random state (Rng() draws from the OS).
+    assert threading.active_count() == 1, "the launcher forks from its only thread"
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # A SIGTERM between the fork and the child's reset must kill the child,
+    # not run the launcher's handler there.
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    pid = os.fork()
+    if pid:
+        children[pid] = argv
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+        return
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+        os._exit(_run_daemon(argv, lifeline))
+    finally:
+        os._exit(1)  # never back into the launcher's loop
+
+
+def _run_daemon(argv: list[str], lifeline: tuple[int, int]) -> int:
+    """The forked child: the role's main, as a fresh process would run it."""
+    read_end, write_end = lifeline
+    os.close(write_end)
+    threading.Thread(target=_exit_with_launcher, args=(read_end,), daemon=True).start()
+    devnull = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(devnull, 0)
+    os.close(devnull)
+    try:
+        status = ROLES[argv[0]](argv[1:])
+    except SystemExit as exc:  # argparse's usage error or --help
+        status = exc.code
+    except BaseException:
+        traceback.print_exc()
+        status = 1
+    sys.stdout.flush()
+    sys.stderr.flush()
+    return status or 0
+
+
+def _exit_with_launcher(read_end: int) -> None:
+    os.read(read_end, 1)  # returns only at EOF: nothing is ever written
+    os._exit(1)
+
+
 if __name__ == "__main__":
     name = sys.argv[1] if len(sys.argv) > 1 else ""
-    mains = {"kdc": kdc_main, "isv": isv_main, "device": device_main}
+    mains = {**ROLES, "launch": launch_main}
     if name not in mains:
-        print("usage: python -m kesic.daemon {kdc|isv|device} ...", file=sys.stderr)
+        print("usage: python -m kesic.daemon {kdc|isv|device|launch} ...", file=sys.stderr)
         sys.exit(2)
     sys.exit(mains[name](sys.argv[2:]))

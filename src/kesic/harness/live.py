@@ -1,9 +1,10 @@
 """Live topology: the same ecosystem as real processes on localhost.
 
-Spawns the KDC, the IoT server and one process per device with freshly
-provisioned config files in a scratch directory, waits for each daemon's
-``READY`` line, and hands out :class:`ClientSession` objects wired to real
-sockets. Scenario steps run through the simulated runner's step loop; only
+Starts one launcher process (``python -m kesic.daemon launch``), which
+imports the daemons once and forks the KDC, the IoT server and one process
+per device with freshly provisioned config files in a scratch directory. It
+waits for each daemon's ``READY`` line, and hands out :class:`ClientSession`
+objects wired to real sockets. Scenario steps run through the simulated runner's step loop; only
 the client-driven ops work here — the adversarial hooks, the virtual clock
 and device memory belong to the simulated fabric.
 """
@@ -11,6 +12,7 @@ and device memory belong to the simulated fabric.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import select
 import socket
@@ -77,8 +79,9 @@ def _wait_ready(proc: subprocess.Popen, what: str, deadline: float) -> None:
             raise StartupTimeout(f"{what} did not become ready in time")
         if proc.poll() is not None:
             err = (proc.stderr.read() if proc.stderr else b"").decode("utf-8", "replace")
-            if "Address already in use" in err:
-                raise PortInUse(f"{what}: {err.strip().splitlines()[-1]}")
+            in_use = [line for line in err.splitlines() if "Address already in use" in line]
+            if in_use:
+                raise PortInUse(f"{what}: {in_use[-1]}")
             raise StartupTimeout(f"{what} exited during startup: {err.strip()[-400:]}")
         ready, _, _ = select.select([proc.stdout], [], [], min(remaining, 0.2))
         if not ready:
@@ -92,7 +95,8 @@ def _wait_ready(proc: subprocess.Popen, what: str, deadline: float) -> None:
 
 
 class LiveTopology:
-    """Owns the daemon processes and the provisioning scratch directory."""
+    """Owns the launcher process, which owns the daemons, and the provisioning
+    scratch directory. ``procs`` holds the launcher once it has started."""
 
     def __init__(
         self,
@@ -116,14 +120,25 @@ class LiveTopology:
     # -- lifecycle ---------------------------------------------------------
 
     def _spawn(self, args: list[str], what: str, deadline: float) -> subprocess.Popen:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "kesic.daemon", *args],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            cwd=self.workdir,
-            env=_daemon_env(),
-        )
-        self.procs.append(proc)
+        """Has the launcher fork the daemon ``args`` names; waits for its READY.
+
+        The first call starts the launcher with ``args`` on its command line;
+        later ones send theirs as a JSON line on its stdin.
+        """
+        if self.procs:
+            proc = self.procs[0]
+            with contextlib.suppress(BrokenPipeError):  # a dead launcher is diagnosed below
+                os.write(proc.stdin.fileno(), json.dumps(args).encode() + b"\n")
+        else:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "kesic.daemon", "launch", *args],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                cwd=self.workdir,
+                env=_daemon_env(),
+            )
+            self.procs.append(proc)
         _wait_ready(proc, what, deadline)
         return proc
 
@@ -178,9 +193,7 @@ class LiveTopology:
             session.network.close()
         self._sessions.clear()
         for proc in self.procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in self.procs:
+            proc.stdin.close()  # EOF: the launcher stops its daemons and exits
             try:
                 proc.wait(timeout=5.0)
             except subprocess.TimeoutExpired:

@@ -1,25 +1,35 @@
-"""Daemon socket loops: hostile HTTP framing and handler failures."""
+"""Daemon socket loops: hostile HTTP framing, handler failures, the connection
+cap, and the launcher's refusal of a bad line."""
 
+import contextlib
 import json
 import logging
+import os
+import pathlib
 import shutil
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
+import kesic
 from kesic import cli, daemon, net
+from kesic.errors import FieldFormatError
 from kesic.provision import provision
 from kesic.rng import Rng
 
 from conftest import HOSTILE_HEADS, SMALL_FLEET
 
 
-@pytest.fixture
-def ticket_server(cold_world):
+@contextlib.contextmanager
+def serving(isv):
+    """A ticket API server for ``isv`` on a free loopback port; yields its address."""
     httpd = daemon._TicketHttpServer(("127.0.0.1", 0), daemon._TicketHttpHandler)
-    httpd.isv = cold_world.isv
+    httpd.isv = isv
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05})
     thread.start()
     try:
@@ -29,6 +39,12 @@ def ticket_server(cold_world):
         httpd.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def ticket_server(cold_world):
+    with serving(cold_world.isv) as addr:
+        yield addr
 
 
 def send_head(sock, head: str) -> tuple[int, dict]:
@@ -128,6 +144,38 @@ def test_well_framed_requests_still_reach_the_ticket_api(ticket_server):
         ticket_server, "POST /ticket HTTP/1.1\r\nHost: isv\r\nContent-Length: 0\r\n"
     )
     assert (status, obj["error"]) == (401, "KerberosAuthFailure")
+
+
+def closed_unanswered(sock) -> bool:
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:  # the request was still unread when the server hung up
+        return True
+
+
+def test_a_connection_over_the_cap_is_closed_unanswered(cold_world, monkeypatch):
+    monkeypatch.setattr(daemon, "HTTP_MAX_CONNECTIONS", 4)
+    healthz = "GET /healthz HTTP/1.1\r\nHost: isv\r\n"
+    with serving(cold_world.isv) as addr, contextlib.ExitStack() as stack:
+        held = [stack.enter_context(socket.create_connection(addr, timeout=5)) for _ in range(4)]
+        for sock in held:  # each of the four has its handler
+            assert send_head(sock, healthz) == (200, {"ok": True})
+        with socket.create_connection(addr, timeout=5) as extra:
+            extra.sendall(healthz.encode("latin-1") + b"\r\n")
+            assert closed_unanswered(extra)
+        held[0].close()
+        # Its slot comes back once its handler has seen the close.
+        deadline = time.monotonic() + 2
+        while True:
+            with socket.create_connection(addr, timeout=5) as sock:
+                sock.sendall(healthz.encode("latin-1") + b"\r\n")
+                try:
+                    reply = read_reply(sock.makefile("rb"))
+                    break
+                except (ConnectionError, FieldFormatError):
+                    assert time.monotonic() < deadline, "a freed slot was never reused"
+            time.sleep(0.02)
+        assert reply == (200, {"ok": True})
 
 
 def test_handler_failure_is_a_500_and_the_server_keeps_serving(ticket_server, cold_world, monkeypatch, caplog):
@@ -292,3 +340,31 @@ def test_client_kdc_address_without_a_valid_port_is_a_named_error(addr, config_f
     ]
     assert cli.main(argv) == cli.EXIT_ERROR
     assert_one_line_error(capsys, f"FieldFormatError: address must be host:port with a port of 0-65535, got {addr!r}")
+
+
+BAD_LAUNCHER_INPUT = {  # (launcher command line, stdin)
+    "not-json": ([], b"kdc --db kdc.json\n"),
+    "an-object": ([], b'{"role": "kdc"}\n'),
+    "empty-list": ([], b"[]\n"),
+    "non-string-argument": ([], b'["kdc", "--port", 8750]\n'),
+    "unknown-role": ([], b'["ghost", "--port", "8750"]\n'),
+    "launcher-role": ([], b'["launch"]\n'),
+    "unknown-role-on-the-command-line": (["ghost"], b""),
+}
+
+
+@pytest.mark.parametrize("args, stdin", BAD_LAUNCHER_INPUT.values(), ids=BAD_LAUNCHER_INPUT.keys())
+def test_a_bad_launcher_line_is_a_one_line_error(args, stdin):
+    """The launcher refuses the line before it forks, the way a daemon
+    refuses a bad config: one line on stderr and status 2."""
+    src = pathlib.Path(kesic.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "kesic.daemon", "launch", *args],
+        input=stdin,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    err = out.stderr.decode()
+    assert (out.returncode, out.stdout) == (2, b""), err
+    assert err.startswith("error: FieldFormatError: launcher: ") and err.count("\n") == 1, err

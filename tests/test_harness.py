@@ -3,11 +3,14 @@
 import copy
 import functools
 import gc
+import glob
 import io
 import json
 import os
 import re
+import signal
 import socket
+import time
 import warnings
 import weakref
 
@@ -561,6 +564,72 @@ class TestLiveTopology:
         assert len(started) == live.START_ATTEMPTS
         assert len({id(topo) for topo in started}) == live.START_ATTEMPTS
         assert stopped == started
+
+
+def forked_daemons(launcher) -> list[int]:
+    """The launcher's children in the order it forked them: KDC, IoT server, devices."""
+    pids = []
+    for path in glob.glob(f"/proc/{launcher.pid}/task/*/children"):
+        with open(path) as fh:
+            pids += [int(pid) for pid in fh.read().split()]
+    return pids
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie that nothing reaps has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.fixture
+def bulb_topology():
+    """A started topology of the KDC, the IoT server and bulb; stopped after."""
+    from kesic.provision import FleetSpec
+
+    spec = FleetSpec.from_dict({"clients": TINY_FLEET["clients"], "devices": TINY_FLEET["devices"][:1]})
+    topo = LiveTopology(spec)
+    try:
+        topo.start()
+        yield topo
+    finally:
+        topo.stop()
+
+
+class TestLauncher:
+    def test_stop_leaves_no_daemon(self, bulb_topology):
+        launcher, = bulb_topology.procs
+        pids = forked_daemons(launcher)
+        assert len(pids) == 3
+        bulb_topology.stop()
+        assert launcher.returncode == 0
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_a_killed_daemon_stops_its_launcher_which_names_it(self, bulb_topology):
+        launcher, = bulb_topology.procs
+        kdc, isv, bulb = forked_daemons(launcher)
+        os.kill(bulb, signal.SIGKILL)
+        launcher.wait(timeout=2)
+        assert launcher.returncode == 1
+        last = launcher.stderr.read().decode().strip().splitlines()[-1]
+        assert last.startswith("error: daemon device --profile ") and "device-bulb.json" in last, last
+        assert last.endswith(f"(pid {bulb}) exited with {-signal.SIGKILL}"), last
+        assert not running(kdc) and not running(isv)
+
+    def test_no_daemon_outlives_a_killed_launcher(self, bulb_topology):
+        launcher, = bulb_topology.procs
+        pids = forked_daemons(launcher)
+        assert len(pids) == 3
+        launcher.kill()
+        launcher.wait()
+        deadline = time.monotonic() + 2
+        while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(running(pid) for pid in pids)
 
 
 @pytest.fixture
